@@ -61,7 +61,9 @@ func run() error {
 	}
 	fmt.Printf("tpsd listening on http://%s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv}
+	// A client that never finishes its headers must not hold a connection
+	// forever. No WriteTimeout: trace streams are long-lived.
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
 	httpErr := make(chan error, 1)
 	go func() { httpErr <- hs.Serve(ln) }()
 

@@ -102,7 +102,7 @@ func runAutotune(makeDesign func() (*tps.Design, error), spec *tps.AutotuneSpec,
 	fmt.Print(res.BestScript)
 
 	if out != "" {
-		if err := os.WriteFile(out, []byte(res.BestDesign), 0o644); err != nil {
+		if err := saveDesign(out, tps.Adopt(res.BestDesign)); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (winner %s)\n", out, res.BestName)

@@ -265,17 +265,25 @@ func run() error {
 	}
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := d.Save(f); err != nil {
+		if err := saveDesign(*out, d); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *out)
 	}
 	return nil
+}
+
+// saveDesign writes d to path as .tpn — the -out file of every mode.
+func saveDesign(path string, d *tps.Design) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := d.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printPhases prints per-transform wall clock, and speedups against a

@@ -97,7 +97,7 @@ func runPortfolio(makeDesign func() (*tps.Design, error), spec *tps.RaceSpec, tr
 		w.Name, w.Objective, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
 
 	if out != "" {
-		if err := os.WriteFile(out, []byte(res.WinnerDesign), 0o644); err != nil {
+		if err := saveDesign(out, tps.Adopt(res.WinnerDesign)); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %s (winner %s)\n", out, w.Name)

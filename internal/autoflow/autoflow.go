@@ -31,7 +31,6 @@ import (
 	"sort"
 	"time"
 
-	"tps/internal/gen"
 	"tps/internal/netio"
 	"tps/internal/portfolio"
 	"tps/internal/scenario"
@@ -145,14 +144,14 @@ type Result struct {
 	// BestMetrics / BestStats are the winner's final measurements.
 	BestMetrics *scenario.Metrics
 	BestStats   scenario.AnalyzerStats
-	// BestDesign is the winner's final design as .tpn text.
-	BestDesign string
+	// BestDesign is the winner's final design (Fork it to adopt it).
+	BestDesign *netio.State
 	// BaseObjective is the unmutated base script's own objective —
 	// the hand-written baseline the search is trying to beat. -Inf if
 	// the base flow failed.
 	BaseObjective float64
 	// Generations / Evaluated / Restarts are loop totals. Evaluated
-	// equals the snapshot's fork count: one fork per raced variant.
+	// equals the base State's fork count: one fork per raced variant.
 	Generations int
 	Evaluated   int
 	Restarts    int
@@ -177,25 +176,15 @@ type variant struct {
 	obj     float64
 	metrics *scenario.Metrics
 	stats   scenario.AnalyzerStats
-	design  string
+	design  *netio.State
 	status  string
 }
 
-// Search snapshots base and runs the evolutionary loop. base is only
-// read, never mutated.
-func Search(ctx context.Context, base *gen.Design, spec Spec) (*Result, error) {
-	forker, err := netio.NewForker(base)
-	if err != nil {
-		return nil, fmt.Errorf("autoflow: snapshot: %w", err)
-	}
-	return SearchForker(ctx, forker, spec)
-}
-
-// SearchForker runs the evolutionary loop from an existing snapshot.
-// The snapshot is forked exactly once per variant evaluated, across ALL
-// generations — the search never re-serializes the base design.
-func SearchForker(ctx context.Context, forker *netio.Forker, spec Spec) (*Result, error) {
-	s, err := newSearch(forker, &spec)
+// Search runs the evolutionary loop from the base snapshot. base is
+// forked exactly once per variant evaluated, across ALL generations, and
+// never modified.
+func Search(ctx context.Context, base *netio.State, spec Spec) (*Result, error) {
+	s, err := newSearch(base, &spec)
 	if err != nil {
 		return nil, err
 	}
@@ -203,10 +192,10 @@ func SearchForker(ctx context.Context, forker *netio.Forker, spec Spec) (*Result
 }
 
 type search struct {
-	spec   *Spec
-	obj    string
-	forker *netio.Forker
-	mut    *mutator
+	spec *Spec
+	obj  string
+	snap *netio.State // the base design every variant forks
+	mut  *mutator
 
 	cache    map[string]*variant // canonical text → variant
 	nextID   int
@@ -218,7 +207,7 @@ type search struct {
 	gens     []GenSummary
 }
 
-func newSearch(forker *netio.Forker, spec *Spec) (*search, error) {
+func newSearch(snap *netio.State, spec *Spec) (*search, error) {
 	if spec.Population <= 0 {
 		spec.Population = 4
 	}
@@ -253,11 +242,11 @@ func newSearch(forker *netio.Forker, spec *Spec) (*search, error) {
 		return nil, err
 	}
 	s := &search{
-		spec:   spec,
-		obj:    obj,
-		forker: forker,
-		mut:    mut,
-		cache:  map[string]*variant{},
+		spec:  spec,
+		obj:   obj,
+		snap:  snap,
+		mut:   mut,
+		cache: map[string]*variant{},
 	}
 	s.base = s.intern(baseScript, "base")
 	return s, nil
@@ -396,7 +385,7 @@ func (s *search) run(ctx context.Context) (*Result, error) {
 			s.spec.Name, g, gs.Evaluated, gs.Best, gs.BestObjective,
 			map[bool]string{true: " (restart)", false: ""}[gs.Restart])
 
-		// Drop design texts we can no longer need: only survivors and the
+		// Drop designs we can no longer need: only survivors and the
 		// global best can still become the final answer.
 		keep := map[int]bool{}
 		for _, v := range survivors {
@@ -407,7 +396,7 @@ func (s *search) run(ctx context.Context) (*Result, error) {
 		}
 		for _, v := range pool {
 			if !keep[v.id] {
-				v.design = ""
+				v.design = nil
 			}
 		}
 	}
@@ -468,7 +457,7 @@ func (s *search) evaluate(ctx context.Context, g int, toEval []*variant) error {
 	if s.spec.Trace != nil {
 		tr = raceFilter{s.spec.Trace}
 	}
-	res, err := portfolio.RaceForker(ctx, s.forker, portfolio.Spec{
+	res, err := portfolio.RaceFrom(ctx, s.snap, portfolio.Spec{
 		Name:           fmt.Sprintf("%s.g%d", s.spec.Name, g),
 		Entrants:       entrants,
 		Objective:      s.obj,

@@ -52,11 +52,11 @@ init {
 }
 `
 
-func baseDesign(t testing.TB, seed int64) *gen.Design {
+func baseDesign(t testing.TB, seed int64) *netio.State {
 	t.Helper()
 	p := gen.Des(1, 0.02)
 	p.Seed = seed
-	return gen.Generate(cell.Default(), p)
+	return netio.CaptureDesign(gen.Generate(cell.Default(), p))
 }
 
 // testSpec is a small but mutation-rich search: the param operator can
@@ -91,21 +91,18 @@ func (m *memTracer) Emit(e scenario.Event) {
 	m.mu.Unlock()
 }
 
-// TestSearchForkPerVariant is the snapshot-reuse contract: one shared
-// Forker serves every generation, and its fork count equals the
-// variants actually evaluated — deduplicated children are never
-// re-parsed, and the base design is never re-serialized.
+// TestSearchForkPerVariant is the snapshot-reuse contract: one base
+// State serves every generation, and its fork count equals the variants
+// actually evaluated — deduplicated children are never re-raced, and
+// the base design is never captured again.
 func TestSearchForkPerVariant(t *testing.T) {
-	forker, err := netio.NewForker(baseDesign(t, 7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SearchForker(context.Background(), forker, testSpec("forks"))
+	base := baseDesign(t, 7)
+	res, err := Search(context.Background(), base, testSpec("forks"))
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
-	if forker.Forks() != res.Evaluated {
-		t.Fatalf("forker forked %d times, %d variants evaluated", forker.Forks(), res.Evaluated)
+	if base.Forks() != res.Evaluated {
+		t.Fatalf("base forked %d times, %d variants evaluated", base.Forks(), res.Evaluated)
 	}
 	if res.Evaluated < 1 || res.BestName == "" {
 		t.Fatalf("degenerate result: %+v", res)
@@ -127,11 +124,7 @@ func TestSearchForkPerVariant(t *testing.T) {
 	}
 
 	// Adopting the winner's design reproduces its posted measurements.
-	wd, err := netio.Read(strings.NewReader(res.BestDesign), cell.Default())
-	if err != nil {
-		t.Fatalf("winner design does not parse: %v", err)
-	}
-	c := scenario.NewContext(wd, 1)
+	c := scenario.NewContext(res.BestDesign.Fork(), 1)
 	defer c.Close()
 	m := c.Evaluate("adopted")
 	if m.SteinerWireUm != res.BestMetrics.SteinerWireUm {
@@ -249,7 +242,7 @@ func TestSearchNoWinner(t *testing.T) {
 	if !errors.Is(err, ErrNoWinner) {
 		t.Fatalf("err = %v, want ErrNoWinner", err)
 	}
-	if res.BestName != "" || res.BestDesign != "" {
+	if res.BestName != "" || res.BestDesign != nil {
 		t.Fatalf("no-winner search still adopted %q", res.BestName)
 	}
 	if res.Evaluated < 1 || res.Generations != 2 {

@@ -14,7 +14,8 @@ import (
 // returns an error or a structurally consistent design — never a design
 // that fails later (NaN/negative coordinates, duplicate names, broken
 // back-references). Accepted designs must survive a Write→Read round
-// trip.
+// trip, and a State fork of the design must equal that round trip in
+// full state.
 func FuzzRead(f *testing.F) {
 	f.Add("design d\nperiod 1000\nchip 100 100\nnet n1\ngate g1 INV size=X1 at 5 5 A=n1\n")
 	f.Add("# comment\nnet clk clock\nnet s scan\n")
@@ -24,6 +25,7 @@ func FuzzRead(f *testing.F) {
 	f.Add("gate g INV at NaN 5\nperiod -1\nchip NaN 4\n")
 	f.Add("design \x00\nnet ü\ngate ü PAD\n")
 	f.Add("period 1e308\nchip 1e308 1e308\n")
+	f.Add("design d\nnet a\nnet b\nnet z\ngate g NAND2 size=X2 gain=3 Z=z B=b A=a\ngate h INV sizeless gain=2 at -0 7 fixed A=z\n")
 
 	lib := cell.Default()
 	f.Fuzz(func(t *testing.T, in string) {
@@ -62,13 +64,22 @@ func FuzzRead(f *testing.F) {
 		if err := Write(&out, d); err != nil {
 			t.Fatalf("write failed on accepted design: %v", err)
 		}
-		if _, err := Read(bytes.NewReader(out.Bytes()), lib); err != nil {
+		rt, err := Read(bytes.NewReader(out.Bytes()), lib)
+		if err != nil {
 			// Names with embedded whitespace can round-trip imperfectly;
 			// only flag round-trip failures for inputs whose names are
 			// plain tokens (the Write format's own constraint).
 			if !strings.ContainsAny(in, "\x00") {
 				t.Fatalf("round trip rejected: %v\nre-read input: %q", err, out.String())
 			}
+			return
+		}
+		fk := CaptureDesign(d).Fork()
+		if err := fk.NL.Check(); err != nil {
+			t.Fatalf("forked netlist inconsistent: %v\ninput: %q", err, in)
+		}
+		if got, want := dump(t, fk), dump(t, rt); got != want {
+			t.Fatalf("fork differs from Read(Write(d)):\n%s\ninput: %q", firstDiff(got, want), in)
 		}
 	})
 }
@@ -89,6 +100,7 @@ func TestReadRejectsInvalidInputs(t *testing.T) {
 		{"neg-chip", "chip 10 -10\n"},
 		{"nan-gain", "gate g INV sizeless gain=NaN\n"},
 		{"zero-gain", "gate g INV sizeless gain=0\n"},
+		{"port-bound-twice", "net a\nnet b\ngate g INV A=a A=b\n"},
 	}
 	for _, c := range cases {
 		if _, err := Read(strings.NewReader(c.in), lib); err == nil {

@@ -236,6 +236,9 @@ func parseGate(d *gen.Design, nets map[string]*netlist.Net, f []string, line int
 			if pin == nil {
 				return fmt.Errorf("netio: line %d: master %s has no port %q", line, master.Name, port)
 			}
+			if pin.Net != nil {
+				return fmt.Errorf("netio: line %d: port %s bound twice", line, port)
+			}
 			n, ok := nets[netName]
 			if !ok {
 				return fmt.Errorf("netio: line %d: undeclared net %q", line, netName)

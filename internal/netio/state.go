@@ -2,27 +2,37 @@ package netio
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"tps/internal/cell"
+	"tps/internal/gen"
 	"tps/internal/netlist"
 )
 
-// State is an in-memory checkpoint of everything a transform may change on
-// a netlist: gate masters, sizes, gains, area scales, positions, flags,
-// pin→net bindings, net weights, and liveness tombstones. Unlike the .tpn
-// text form it is keyed by ID and captures transient optimization state,
-// so Restore can rewind the *same* netlist object in place — analyzers
-// stay subscribed and hear every reverse edit as a normal notification.
-//
-// The scenario engine snapshots a State before each protected step and
-// restores it when the step errors, times out, or regresses the objective.
+// State is the in-memory design snapshot: everything a transform may
+// change on a netlist (gate masters, sizes, gains, area scales,
+// positions, flags, pin→net bindings, net weights, liveness tombstones),
+// the gate and net names, and — from CaptureDesign — the design frame.
+// It is keyed by ID and read-only after capture, apart from the atomic
+// Forks counter. Restore rewinds the *same* netlist in place, so
+// analyzers stay subscribed and hear every reverse edit; the scenario
+// engine does this when a protected step is rejected. Fork builds a
+// fresh, independent design; races, autotune and the tpsd design store
+// fork every run from one State, any number of goroutines at once.
 type State struct {
-	gates []gateState
-	nets  []netState
+	name   string
+	lib    *cell.Library
+	period float64
+	chipW  float64
+	chipH  float64
+	gates  []gateState
+	nets   []netState
+	forks  atomic.Int64
 }
 
 type gateState struct {
 	live      bool
+	name      string
 	cell      *cell.Cell
 	sizeIdx   int
 	gain      float64
@@ -35,6 +45,7 @@ type gateState struct {
 
 type netState struct {
 	live       bool
+	name       string
 	weight     float64
 	baseWeight float64
 	kind       netlist.NetKind
@@ -43,12 +54,14 @@ type netState struct {
 // Capture snapshots the full mutable state of nl.
 func Capture(nl *netlist.Netlist) *State {
 	s := &State{
+		name:  nl.Name,
+		lib:   nl.Lib,
 		gates: make([]gateState, nl.GateCap()),
 		nets:  make([]netState, nl.NetCap()),
 	}
 	nl.Gates(func(g *netlist.Gate) {
 		gs := gateState{
-			live: true, cell: g.Cell, sizeIdx: g.SizeIdx, gain: g.Gain,
+			live: true, name: g.Name, cell: g.Cell, sizeIdx: g.SizeIdx, gain: g.Gain,
 			areaScale: g.AreaScale, x: g.X, y: g.Y, placed: g.Placed,
 			fixed: g.Fixed, pinNets: make([]int, len(g.Pins)),
 		}
@@ -62,9 +75,63 @@ func Capture(nl *netlist.Netlist) *State {
 		s.gates[g.ID] = gs
 	})
 	nl.Nets(func(n *netlist.Net) {
-		s.nets[n.ID] = netState{live: true, weight: n.Weight, baseWeight: n.BaseWeight, kind: n.Kind}
+		s.nets[n.ID] = netState{live: true, name: n.Name, weight: n.Weight, baseWeight: n.BaseWeight, kind: n.Kind}
 	})
 	return s
+}
+
+// CaptureDesign snapshots d's netlist, as Capture does, together with
+// its clock period and die size, so that Fork returns whole designs.
+func CaptureDesign(d *gen.Design) *State {
+	s := Capture(d.NL)
+	s.period, s.chipW, s.chipH = d.Period, d.ChipW, d.ChipH
+	return s
+}
+
+// Period returns the captured clock period in ps.
+func (s *State) Period() float64 { return s.period }
+
+// Forks returns the number of Fork calls so far.
+func (s *State) Forks() int { return int(s.forks.Load()) }
+
+// Fork builds a fresh, fully independent design from the snapshot. It
+// makes the netlist calls Read makes on Write's text, in the same order:
+// live nets and then live gates, each renumbered densely in ID order,
+// with pins attached gate by gate in port order. As in the text form,
+// transient flow state starts clean — net weights and area scales at 1,
+// sized gates' gains at the AddGate default — so every fork of one State
+// is bit-for-bit interchangeable with its siblings and with
+// Read(Write(d)). Later edits to a fork never reach the State.
+func (s *State) Fork() *gen.Design {
+	s.forks.Add(1)
+	nl := netlist.New(s.name, s.lib)
+	nets := make([]*netlist.Net, len(s.nets))
+	for id := range s.nets {
+		if ns := &s.nets[id]; ns.live {
+			nets[id] = nl.AddNet(ns.name)
+			nl.SetNetKind(nets[id], ns.kind)
+		}
+	}
+	for id := range s.gates {
+		gs := &s.gates[id]
+		if !gs.live {
+			continue
+		}
+		g := nl.AddGate(gs.name, gs.cell)
+		g.SizeIdx, g.Fixed = gs.sizeIdx, gs.fixed
+		if gs.sizeIdx < 0 {
+			g.Gain = gs.gain
+		}
+		for i, n := range gs.pinNets {
+			if n >= 0 {
+				nl.Connect(g.Pins[i], nets[n])
+			}
+		}
+		if gs.placed {
+			nl.MoveGate(g, gs.x, gs.y)
+		}
+	}
+	return &gen.Design{NL: nl, Period: s.period, ChipW: s.chipW, ChipH: s.chipH}
 }
 
 // Restore rewinds nl to the captured state through the public mutation

@@ -3,7 +3,7 @@
 // multi-placement-structures idea — precompute alternatives, pick the
 // best at instantiation time — to whole transformational flows: each
 // entrant varies the seed, the script, or the script parameters, all
-// starting from the same forked snapshot.
+// starting from a fork of the same netio.State snapshot.
 //
 // # Determinism
 //
@@ -33,7 +33,6 @@
 package portfolio
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -144,17 +143,17 @@ type Result struct {
 	// Winner indexes Verdicts (and Spec.Entrants), -1 if no entrant
 	// finished.
 	Winner int
-	// WinnerDesign is the winning entrant's final design as .tpn text
-	// (parse with netio.Read to adopt it). Empty if no winner.
-	WinnerDesign string
+	// WinnerDesign is the winning entrant's final design (Fork it to
+	// adopt it). Nil if no winner.
+	WinnerDesign *netio.State
 	// Verdicts has one entry per entrant, in entrant order.
 	Verdicts []Verdict
-	// Designs holds each finished entrant's final design text, indexed
-	// like Verdicts (empty for entrants that did not finish).
+	// Designs holds each finished entrant's final design, indexed like
+	// Verdicts (nil for entrants that did not finish).
 	// WinnerDesign == Designs[Winner]. Autoflow selects its own survivor
 	// by (objective, creation order), which is not always the race's
 	// lowest-index tie-break, so it needs the non-winning designs too.
-	Designs []string
+	Designs []*netio.State
 }
 
 // ErrNoWinner reports a race in which no entrant finished.
@@ -163,29 +162,24 @@ var ErrNoWinner = errors.New("portfolio: no entrant finished")
 // MaxEntrants bounds a race's size; a runaway spec is a config bug.
 const MaxEntrants = 64
 
-// Race forks base into one copy per entrant, runs the entrants
+// Race snapshots base once and races from the snapshot (see RaceFrom).
+// base itself is only read, never mutated.
+func Race(ctx context.Context, base *gen.Design, spec Spec) (*Result, error) {
+	return RaceFrom(ctx, netio.CaptureDesign(base), spec)
+}
+
+// RaceFrom forks base into one copy per entrant, runs the entrants
 // concurrently, and returns the winner by the race objective with
 // deterministic seed-ordered tie-breaking (see the package comment).
-// base itself is only read (snapshotted once via netio), never mutated.
+// Autoflow and the tpsd design store race this way from a State they
+// keep, so a base design is captured once however often it is raced.
 //
 // On ctx cancellation the race aborts: every entrant is interrupted
 // through the scenario engine's cooperative-cancel path (protected steps
-// roll back to their checkpoints first), and Race returns the partial
-// Result alongside ctx's error. If all entrants fail, deadline out, or
-// are canceled, the error wraps ErrNoWinner.
-func Race(ctx context.Context, base *gen.Design, spec Spec) (*Result, error) {
-	forker, err := netio.NewForker(base)
-	if err != nil {
-		return nil, fmt.Errorf("portfolio: snapshot: %w", err)
-	}
-	return RaceForker(ctx, forker, spec)
-}
-
-// RaceForker races from an existing snapshot instead of capturing one.
-// This is the entry autoflow uses: the whole evolutionary search runs
-// every generation's entrants from ONE shared Forker, so the base design
-// is serialized exactly once no matter how many variants are evaluated.
-func RaceForker(ctx context.Context, forker *netio.Forker, spec Spec) (*Result, error) {
+// roll back to their checkpoints first), and RaceFrom returns the
+// partial Result alongside ctx's error. If all entrants fail, deadline
+// out, or are canceled, the error wraps ErrNoWinner.
+func RaceFrom(ctx context.Context, base *netio.State, spec Spec) (*Result, error) {
 	n := len(spec.Entrants)
 	if n == 0 {
 		return nil, errors.New("portfolio: race needs at least one entrant")
@@ -238,12 +232,11 @@ func RaceForker(ctx context.Context, forker *netio.Forker, spec Spec) (*Result, 
 	r := &race{
 		spec:     &spec,
 		obj:      obj,
-		period:   forker.Period(),
-		forker:   forker,
+		base:     base,
 		parent:   ctx,
 		ctx:      raceCtx,
 		verdicts: make([]Verdict, n),
-		designs:  make([]string, n),
+		designs:  make([]*netio.State, n),
 		cancels:  make([]context.CancelFunc, n),
 		skip:     make([]bool, n),
 		done:     make([]bool, n),
@@ -290,12 +283,11 @@ type race struct {
 	mu       sync.Mutex
 	spec     *Spec
 	obj      string
-	period   float64
-	forker   *netio.Forker
+	base     *netio.State
 	parent   context.Context // caller's ctx: distinguishes abort from deadline
 	ctx      context.Context // parent + race deadline
 	verdicts []Verdict
-	designs  []string
+	designs  []*netio.State
 	cancels  []context.CancelFunc
 	skip     []bool
 	done     []bool
@@ -350,16 +342,13 @@ func (r *race) run(i int) {
 }
 
 // exec parses, forks, and runs one entrant flow, returning the final
-// design text on success.
-func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTracer) (string, error) {
+// design on success.
+func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTracer) (*netio.State, error) {
 	script, err := scenario.Parse(e.Script)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	gd, err := r.forker.Fork()
-	if err != nil {
-		return "", err
-	}
+	gd := r.base.Fork()
 	c := scenario.NewContext(gd, e.Seed)
 	defer c.Close()
 	ew := r.spec.EntrantWorkers
@@ -382,16 +371,12 @@ func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTrac
 	m, err := scenario.RunContext(ctx, c, script)
 	v.Accepts, v.Rejects = c.Accepts, c.Rejects
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	v.Metrics = &m
 	v.Stats = c.AnalyzerStats()
 	v.Objective = objectiveOf(r.obj, &m)
-	var buf bytes.Buffer
-	if err := netio.Write(&buf, gd); err != nil {
-		return "", fmt.Errorf("capture winner candidate: %w", err)
-	}
-	return buf.String(), nil
+	return netio.CaptureDesign(gd), nil
 }
 
 // finish records the verdict, closes the entrant's tagged trace flow,
@@ -444,7 +429,7 @@ func (r *race) bound(j int) float64 {
 	case "tns", "wire":
 		return 0
 	default:
-		return r.period
+		return r.base.Period()
 	}
 }
 

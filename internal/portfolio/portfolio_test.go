@@ -9,7 +9,6 @@ import (
 
 	"tps/internal/cell"
 	"tps/internal/gen"
-	"tps/internal/netio"
 	"tps/internal/portfolio"
 	"tps/internal/scenario"
 
@@ -114,13 +113,9 @@ func TestRaceSeedVariants(t *testing.T) {
 		t.Fatalf("winner %d, objective argmax %d", res.Winner, best)
 	}
 
-	// Adopt the winner: the .tpn text must parse and measure identically
-	// to the winner's final metrics.
-	wd, err := netio.Read(strings.NewReader(res.WinnerDesign), cell.Default())
-	if err != nil {
-		t.Fatalf("winner design does not parse: %v", err)
-	}
-	c := scenario.NewContext(wd, 1)
+	// Adopt the winner: a fork of its final State must measure
+	// identically to the winner's final metrics.
+	c := scenario.NewContext(res.WinnerDesign.Fork(), 1)
 	defer c.Close()
 	m := c.Evaluate("adopted")
 	w := res.Verdicts[res.Winner]
@@ -269,7 +264,7 @@ func TestRaceNoWinner(t *testing.T) {
 	if !errors.Is(err, portfolio.ErrNoWinner) {
 		t.Fatalf("err = %v, want ErrNoWinner", err)
 	}
-	if res.Winner != -1 || res.WinnerDesign != "" {
+	if res.Winner != -1 || res.WinnerDesign != nil {
 		t.Fatalf("no-winner race still adopted %d", res.Winner)
 	}
 	for i, v := range res.Verdicts {
@@ -353,14 +348,14 @@ entrant name=c script=some/file.tps
 	}
 
 	for _, bad := range []string{
-		"entrant flow=tps\n",                          // no portfolio name
-		"portfolio p\n",                               // no entrants
-		"portfolio p\nentrant\n",                      // neither flow nor script
-		"portfolio p\nentrant flow=tps script=x\n",    // both
+		"entrant flow=tps\n",                              // no portfolio name
+		"portfolio p\n",                                   // no entrants
+		"portfolio p\nentrant\n",                          // neither flow nor script
+		"portfolio p\nentrant flow=tps script=x\n",        // both
 		"portfolio p\nobjective area\nentrant flow=tps\n", // bad objective
 		"portfolio p\ndeadline -3\nentrant flow=tps\n",    // bad deadline
-		"portfolio p\nentrant flow=tps set.=v\n",      // empty param key
-		"portfolio p\nfrobnicate\n",                   // unknown directive
+		"portfolio p\nentrant flow=tps set.=v\n",          // empty param key
+		"portfolio p\nfrobnicate\n",                       // unknown directive
 	} {
 		if _, err := portfolio.ParseSpec(bad, resolve); err == nil {
 			t.Fatalf("spec accepted: %q", bad)

@@ -20,11 +20,12 @@ const (
 // SubmitRequest is the POST /jobs body. Exactly one of Design (a stored
 // design's name) or Netlist (inline .tpn text) selects the design.
 type SubmitRequest struct {
-	// Design names a previously uploaded design. The job runs against
-	// the stored netlist rewound to its upload-time snapshot (warm: no
-	// re-parse), serialized with other jobs on the same design.
+	// Design names a previously uploaded design. The job runs on
+	// private forks of the design's upload-time snapshot (warm: no
+	// re-parse), one job at a time per stored design.
 	Design string `json:"design,omitempty"`
-	// Netlist is an inline .tpn netlist; the job gets a private copy.
+	// Netlist is an inline .tpn netlist; the job runs on private forks
+	// of it.
 	Netlist string `json:"netlist,omitempty"`
 	// Scenario is the scenario script to run (required).
 	Scenario string `json:"scenario"`

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tps/internal/autoflow"
-	"tps/internal/gen"
 	"tps/internal/portfolio"
 	"tps/internal/scenario"
 )
@@ -21,8 +20,7 @@ type Job struct {
 	script     *scenario.Script
 	race       *portfolio.Spec // race submission (script is then nil)
 	tune       *autoflow.Spec  // autotune submission (script is then nil)
-	gd         *gen.Design     // inline submission: private design
-	sd         *storedDesign   // stored-design submission
+	sd         *storedDesign   // the design every run forks (unshared if inline)
 	seed       int64
 	want       int // requested fan-out width
 
@@ -79,8 +77,8 @@ func (j *Job) requestCancel() {
 }
 
 // runJob executes one job end to end: state transitions, worker-budget
-// grant, design acquisition, the engine run, and the terminal flow_end
-// trace record. Called from a worker goroutine.
+// grant, the design's turn, the engine run on private forks, and the
+// terminal flow_end trace record. Called from a worker goroutine.
 func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	if j.cancelReq {
@@ -104,17 +102,8 @@ func (s *Server) runJob(j *Job) {
 	j.granted = granted
 	j.mu.Unlock()
 
-	gd := j.gd
-	if j.sd != nil {
-		var release func()
-		var err error
-		gd, release, err = j.sd.acquire()
-		if err != nil {
-			j.finish(nil, 0, 0, err)
-			return
-		}
-		defer release()
-	}
+	j.sd.mu.Lock()
+	defer j.sd.mu.Unlock()
 
 	if j.tune != nil {
 		// An autotune job: the worker grant bounds how many variants race
@@ -126,31 +115,30 @@ func (s *Server) runJob(j *Job) {
 		spec.Name = j.ID
 		spec.Workers = granted
 		spec.Trace = j.hub
-		res, err := autoflow.Search(ctx, gd, spec)
+		res, err := autoflow.Search(ctx, j.sd.base, spec)
 		j.finishAutotune(res, err)
 		return
 	}
 
 	if j.race != nil {
 		// A race job: the worker grant becomes the race width (each
-		// entrant runs its analyzers serially), the hub receives the
-		// merged entrant-tagged stream, and the job is judged by the
-		// winner. The design lock (stored submissions) is held for the
-		// whole race; the race itself only reads gd through its snapshot.
+		// entrant runs its analyzers serially on its own fork), the hub
+		// receives the merged entrant-tagged stream, and the job is
+		// judged by the winner.
 		spec := *j.race
 		spec.Name = j.ID
 		spec.Workers = granted
 		spec.EntrantWorkers = 1
 		spec.Trace = j.hub
-		res, err := portfolio.Race(ctx, gd, spec)
+		res, err := portfolio.RaceFrom(ctx, j.sd.base, spec)
 		j.finishRace(res, err)
 		return
 	}
 
-	// Fresh analyzer stack per run: correctness over analyzer warmness.
-	// The warm part of a stored-design re-run is the parsed netlist
-	// object graph, not incremental analyzer state.
-	c := scenario.NewContext(gd, j.seed)
+	// Fresh fork and analyzer stack per run: correctness over analyzer
+	// warmness. The warm part of a stored-design re-run is the skipped
+	// .tpn parse, not incremental analyzer state.
+	c := scenario.NewContext(j.sd.base.Fork(), j.seed)
 	c.SetWorkers(granted)
 	c.Trace = j.hub
 	m, err := scenario.RunContext(ctx, c, j.script)

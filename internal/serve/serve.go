@@ -17,10 +17,10 @@
 //	POST /jobs/{id}/cancel    cancel a queued or running job
 //
 // Submissions reference either a stored design by name (warm re-runs:
-// the parsed netlist is rewound to its upload-time snapshot, no
-// re-parse) or carry an inline .tpn netlist. When the queue is full the
-// server answers 429 so load sheds at the edge instead of piling up;
-// while draining it answers 503.
+// each run forks the upload-time netio.State, no re-parse) or carry an
+// inline .tpn netlist. Bodies over 64 MiB are answered 413. When the
+// queue is full the server answers 429 so load sheds at the edge
+// instead of piling up; while draining it answers 503.
 //
 // A submission carrying Entrants is a portfolio race — the premium job
 // shape: the design is forked once per entrant, the entrants race
@@ -32,6 +32,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -190,12 +191,12 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "missing ?name= for the design")
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "read body: "+err.Error())
+		writeErr(w, bodyErrCode(err), "read body: "+err.Error())
 		return
 	}
-	gd, err := netio.Read(strings.NewReader(string(body)), s.lib)
+	gd, err := netio.Read(bytes.NewReader(body), s.lib)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "parse netlist: "+err.Error())
 		return
@@ -210,9 +211,9 @@ func (s *Server) handleDesigns(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBody))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decode request: "+err.Error())
+		writeErr(w, bodyErrCode(err), "decode request: "+err.Error())
 		return
 	}
 	j := &Job{
@@ -272,7 +273,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "parse netlist: "+err.Error())
 			return
 		}
-		j.gd = gd
+		j.sd = &storedDesign{base: netio.CaptureDesign(gd)}
 		j.DesignName = gd.NL.Name
 	default:
 		writeErr(w, http.StatusBadRequest, "missing design: set design (stored name) or netlist (inline .tpn)")
@@ -496,6 +497,16 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, ErrorResponse{Error: msg})
+}
+
+// bodyErrCode answers 413 for a request body over maxBody and 400 for
+// any other read or decode failure.
+func bodyErrCode(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // errIsCancel reports whether a run error means "the context was

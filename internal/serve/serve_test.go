@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -47,6 +48,23 @@ init {
   qplace
   legalize
   sync
+  evaluate flow=serve
+}
+`
+
+// topoScript edits topology on every run: buffer and clone add gates
+// and nets, size_speed resizes.
+const topoScript = `
+scenario topo
+set budget 16
+init {
+  qplace
+  legalize
+  mode m=actual
+  size_speed
+  buffer
+  clone
+  legalize
   evaluate flow=serve
 }
 `
@@ -243,28 +261,85 @@ func TestInlineNetlistSubmit(t *testing.T) {
 }
 
 // Warm re-runs on a stored design start from the upload-time snapshot:
-// the same scenario twice must produce bit-identical metrics.
+// three runs of the same scenario, and an inline submit of the same
+// text, must post bit-identical metrics — also when the flow adds and
+// resizes gates (topoScript).
 func TestWarmRerunDeterministic(t *testing.T) {
 	_, hs := newServer(t, serve.Config{})
 	base := hs.URL
-	resp, err := http.Post(base+"/designs?name=warm", "text/plain", strings.NewReader(tpnText(t, 9)))
+	text := tpnText(t, 9)
+	resp, err := http.Post(base+"/designs?name=warm", "text/plain", strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 
-	var runs [2]serve.JobInfo
-	for i := range runs {
-		_, sub := submit(t, base, serve.SubmitRequest{Design: "warm", Scenario: quickScript})
-		runs[i] = waitState(t, base, sub.JobID, serve.JobDone)
-		if runs[i].Metrics == nil {
-			t.Fatalf("run %d: no metrics", i)
+	var cells []int
+	for _, script := range []string{quickScript, topoScript} {
+		var first scenario.Metrics
+		for i := 0; i < 4; i++ {
+			req := serve.SubmitRequest{Design: "warm", Scenario: script}
+			if i == 3 {
+				req = serve.SubmitRequest{Netlist: text, Scenario: script}
+			}
+			_, sub := submit(t, base, req)
+			info := waitState(t, base, sub.JobID, serve.JobDone)
+			if info.Metrics == nil {
+				t.Fatalf("run %d: no metrics", i)
+			}
+			m := *info.Metrics
+			m.CPUSeconds = 0
+			if i == 0 {
+				first = m
+				cells = append(cells, m.ICells)
+			} else if m != first {
+				t.Fatalf("run %d (inline=%v) diverged from the first:\n first %+v\n run   %+v", i, i == 3, first, m)
+			}
 		}
 	}
-	a, b := *runs[0].Metrics, *runs[1].Metrics
-	a.CPUSeconds, b.CPUSeconds = 0, 0
-	if a != b {
-		t.Fatalf("warm re-run diverged:\n first %+v\n second %+v", a, b)
+	if cells[1] <= cells[0] {
+		t.Fatalf("topology script left %d cells (plain flow %d); it must add gates", cells[1], cells[0])
+	}
+}
+
+// repeatReader streams its text over and over without end.
+type repeatReader string
+
+func (r repeatReader) Read(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		n += copy(p[n:], r)
+	}
+	return len(p), nil
+}
+
+// An upload over the 64 MiB body limit is answered 413 and stores
+// nothing. The body is comment lines, so every line-boundary prefix of
+// it is a valid .tpn that a truncating server would store.
+func TestOversizeUploadRejected(t *testing.T) {
+	_, hs := newServer(t, serve.Config{})
+	base := hs.URL
+	const limit = 64 << 20
+
+	resp, err := http.Post(base+"/designs?name=big", "text/plain",
+		io.LimitReader(repeatReader(strings.Repeat("#\n", 2048)), limit+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize upload: %s, want 413", resp.Status)
+	}
+	dr, err := http.Get(base + "/designs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var designs []serve.DesignInfo
+	if err := json.NewDecoder(dr.Body).Decode(&designs); err != nil {
+		t.Fatal(err)
+	}
+	dr.Body.Close()
+	if len(designs) != 0 {
+		t.Fatalf("oversize upload stored %+v", designs)
 	}
 }
 

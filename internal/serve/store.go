@@ -7,29 +7,17 @@ import (
 	"tps/internal/netio"
 )
 
-// storedDesign is one uploaded design: the parsed netlist plus a
-// netio.Capture snapshot of its upload-time state. Jobs referencing it
-// hold mu for their whole run, rewind the netlist to base, and run in
-// place — warm re-runs reuse the parsed object graph without re-parsing
-// the .tpn text, and the snapshot guarantees every run starts from the
-// same bits regardless of what the previous run did to the netlist.
+// storedDesign is one uploaded design, kept only as its upload-time
+// netio.State (an inline netlist gets an unshared one). Every job on it
+// runs on private forks of that State (a race or search forks once per
+// entrant), so warm re-runs skip the .tpn parse and no run can leave
+// anything behind for the next. Jobs on one design still hold mu for
+// their whole run: letting them overlap would multiply the design's live
+// copies in memory.
 type storedDesign struct {
 	mu   sync.Mutex
-	gd   *gen.Design
 	base *netio.State
 	info DesignInfo
-}
-
-// acquire locks the design for one job's exclusive use and rewinds it
-// to the upload-time snapshot. The returned release must be called when
-// the job is done with the netlist.
-func (sd *storedDesign) acquire() (*gen.Design, func(), error) {
-	sd.mu.Lock()
-	if err := sd.base.Restore(sd.gd.NL); err != nil {
-		sd.mu.Unlock()
-		return nil, nil, err
-	}
-	return sd.gd, sd.mu.Unlock, nil
 }
 
 // designStore is the named-design registry.
@@ -41,8 +29,7 @@ type designStore struct {
 // put stores (or replaces) a design under name.
 func (ds *designStore) put(name string, gd *gen.Design) DesignInfo {
 	sd := &storedDesign{
-		gd:   gd,
-		base: netio.Capture(gd.NL),
+		base: netio.CaptureDesign(gd),
 		info: DesignInfo{Name: name, Gates: gd.NL.NumGates(), Nets: gd.NL.NumNets()},
 	}
 	ds.mu.Lock()

@@ -142,8 +142,8 @@ type RaceEntrant = portfolio.Entrant
 // RaceVerdict is one entrant's outcome.
 type RaceVerdict = portfolio.Verdict
 
-// RaceResult is a race outcome: winner index, adopted design text, and
-// per-entrant verdicts.
+// RaceResult is a race outcome: winner index, the winner's final design
+// (adopt it with Adopt), and per-entrant verdicts.
 type RaceResult = portfolio.Result
 
 // ErrNoWinner reports a race in which no entrant finished.
@@ -171,8 +171,8 @@ func TPSEntrants(n int, opt TPSOptions, baseSeed int64) []RaceEntrant {
 type AutotuneSpec = autoflow.Spec
 
 // AutotuneResult is a search outcome: the winning canonical script, its
-// measurements and design text, the hand-written baseline's objective,
-// and per-generation summaries.
+// measurements and final design (adopt it with Adopt), the hand-written
+// baseline's objective, and per-generation summaries.
 type AutotuneResult = autoflow.Result
 
 // MutationWeights biases the autoflow operator draw.
@@ -229,6 +229,15 @@ func Load(r io.Reader) (*Design, error) {
 	return &Design{ctx: core.NewContext(gd, 1), gd: gd}, nil
 }
 
+// Adopt returns a race or search winner's final design
+// (RaceResult.WinnerDesign, AutotuneResult.BestDesign) as a fresh Design
+// with its own analyzers: the design Load would read back from the
+// winner's saved .tpn, built without the text.
+func Adopt(winner *netio.State) *Design {
+	gd := winner.Fork()
+	return &Design{ctx: core.NewContext(gd, 1), gd: gd}
+}
+
 // Save writes the design's current netlist and placement as .tpn.
 func (d *Design) Save(w io.Writer) error { return netio.Write(w, d.gd) }
 
@@ -282,7 +291,7 @@ func (d *Design) SetTrace(t Tracer) { d.ctx.Trace = t }
 // Race forks the design's current state into one copy per entrant and
 // races the entrants concurrently; the design itself is only read. The
 // winner's identity and Metrics are bit-identical at any RaceSpec
-// Workers width; adopt the winner by loading Result.WinnerDesign. On
+// Workers width; adopt the winner with Adopt(Result.WinnerDesign). On
 // ctx cancellation every entrant is cooperatively interrupted and the
 // error wraps ctx's; ErrNoWinner means no entrant finished.
 func (d *Design) Race(ctx context.Context, spec RaceSpec) (*RaceResult, error) {
@@ -293,12 +302,12 @@ func (d *Design) Race(ctx context.Context, spec RaceSpec) (*RaceResult, error) {
 // state: the spec's base script is mutated through typed operators,
 // every generation's variants race as a portfolio from one shared
 // snapshot, and the best variant by the traced objective survives. The
-// design itself is only read; adopt the winner by loading
-// Result.BestDesign. The search is deterministic — same spec and seed
-// give a bit-identical winning script, Metrics, and AnalyzerStats at
-// any Workers width.
+// design itself is only read; adopt the winner with
+// Adopt(Result.BestDesign). The search is deterministic — same spec and
+// seed give a bit-identical winning script, Metrics, and AnalyzerStats
+// at any Workers width.
 func (d *Design) Autotune(ctx context.Context, spec AutotuneSpec) (*AutotuneResult, error) {
-	return autoflow.Search(ctx, d.gd, spec)
+	return autoflow.Search(ctx, netio.CaptureDesign(d.gd), spec)
 }
 
 // Evaluate measures the design as it stands, without running a flow.
