@@ -11,6 +11,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -190,12 +191,25 @@ func fmPassReference(h *Hypergraph, part []int8, inc [][]int32, lo, hi float64, 
 // randomFMHypergraph builds a random instance. weightMode: 0 nil weights,
 // 1 uniform non-unit, 2 skewed floats (big-bucket fallback), 3 small
 // integers (semi-uniform).
-func randomFMHypergraph(rng *rand.Rand, n int, weightMode uint8) *Hypergraph {
+//
+// The sparse shape has n vertices and n..2n nets of 2–6 pins. The dense
+// shape mimics a stalled coarse level of a bisection: vertices 0..n-1 are
+// free, n and n+1 are terminals (fmEquivCheck fixes them to sides 0 and
+// 1), and there are 20–30 nets of 2 or 3 distinct pins per free vertex,
+// so one move re-updates a neighbor through dozens of shared in-band nets.
+func randomFMHypergraph(rng *rand.Rand, n int, weightMode uint8, dense bool) *Hypergraph {
 	h := &Hypergraph{NumV: n}
 	numNets := n + rng.Intn(n+1)
+	if dense {
+		h.NumV = n + 2
+		numNets = n * (20 + rng.Intn(11))
+	}
 	for i := 0; i < numNets; i++ {
-		k := 2 + rng.Intn(5)
-		net := make([]int32, k)
+		if dense {
+			h.Nets = append(h.Nets, smallNet(rng, h.NumV))
+			continue
+		}
+		net := make([]int32, 2+rng.Intn(5))
 		for j := range net {
 			net[j] = int32(rng.Intn(n))
 		}
@@ -221,22 +235,45 @@ func randomFMHypergraph(rng *rand.Rand, n int, weightMode uint8) *Hypergraph {
 	return h
 }
 
+// smallNet draws a net of 2 or 3 distinct pins from vertices 0..numV-1.
+func smallNet(rng *rand.Rand, numV int) []int32 {
+	net := make([]int32, 0, 3)
+	for k := 2 + rng.Intn(2); len(net) < k; {
+		u := int32(rng.Intn(numV))
+		if !slices.Contains(net, u) {
+			net = append(net, u)
+		}
+	}
+	return net
+}
+
 // fmEquivCheck runs up to three passes of the bucketed engine and the
 // legacy reference from the same state and demands identical move
-// sequences, improvement flags, and partitions after every pass.
-func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, lookAhead bool) {
+// sequences, improvement flags, and partitions after every pass. dense
+// selects randomFMHypergraph's dense shape (8–40 free vertices).
+func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, lookAhead, dense bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 8 + rng.Intn(120)
-	h := normalize(randomFMHypergraph(rng, n, weightMode))
+	if dense {
+		n = 8 + rng.Intn(33)
+	}
+	h := normalize(randomFMHypergraph(rng, n, weightMode, dense))
 	part := make([]int8, h.NumV)
 	for v := range part {
 		part[v] = int8(rng.Intn(2))
 	}
-	for v := 0; v < h.NumV; v++ {
-		if rng.Intn(16) == 0 {
-			h.Fixed[v] = int8(rng.Intn(2))
-			part[v] = h.Fixed[v]
+	if dense {
+		for s := 0; s < 2; s++ {
+			h.Fixed[n+s] = int8(s)
+			part[n+s] = int8(s)
+		}
+	} else {
+		for v := 0; v < h.NumV; v++ {
+			if rng.Intn(16) == 0 {
+				h.Fixed[v] = int8(rng.Intn(2))
+				part[v] = h.Fixed[v]
+			}
 		}
 	}
 	totalArea := float64(h.NumV) // normalize gives unit areas
@@ -252,19 +289,19 @@ func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, lookAhead bool) {
 		refImp := fmPassReference(h, partRef, incRef, lo, hi, lookAhead, &refSeq)
 		imp := fmPass(h, part, lo, hi, lookAhead, sc)
 		if imp != refImp {
-			t.Fatalf("seed=%d mode=%d la=%v pass=%d: improved=%v reference=%v", seed, weightMode, lookAhead, pass, imp, refImp)
+			t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d: improved=%v reference=%v", seed, weightMode, lookAhead, dense, pass, imp, refImp)
 		}
 		if len(sc.seq) != len(refSeq) {
-			t.Fatalf("seed=%d mode=%d la=%v pass=%d: %d moves vs reference %d", seed, weightMode, lookAhead, pass, len(sc.seq), len(refSeq))
+			t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d: %d moves vs reference %d", seed, weightMode, lookAhead, dense, pass, len(sc.seq), len(refSeq))
 		}
 		for i := range refSeq {
 			if sc.seq[i] != refSeq[i] {
-				t.Fatalf("seed=%d mode=%d la=%v pass=%d move=%d: %+v vs reference %+v", seed, weightMode, lookAhead, pass, i, sc.seq[i], refSeq[i])
+				t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d move=%d: %+v vs reference %+v", seed, weightMode, lookAhead, dense, pass, i, sc.seq[i], refSeq[i])
 			}
 		}
 		for v := range part {
 			if part[v] != partRef[v] {
-				t.Fatalf("seed=%d mode=%d la=%v pass=%d: part[%d]=%d vs reference %d", seed, weightMode, lookAhead, pass, v, part[v], partRef[v])
+				t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d: part[%d]=%d vs reference %d", seed, weightMode, lookAhead, dense, pass, v, part[v], partRef[v])
 			}
 		}
 		if !imp {
@@ -278,13 +315,17 @@ func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, lookAhead bool) {
 
 // FuzzFMPassEquivalence pins the bucketed gain engine to the legacy heap
 // reference: identical move sequence, improvement flag, final partition,
-// and cut, across uniform/skewed/integer net weights and LookAhead on/off.
+// and cut, across uniform/skewed/integer net weights, LookAhead on/off,
+// and the sparse and dense hypergraph shapes.
 func FuzzFMPassEquivalence(f *testing.F) {
 	for s := int64(1); s <= 4; s++ {
-		f.Add(s, uint8(s-1), s%2 == 0)
+		f.Add(s, uint8(s-1), s%2 == 0, false)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, weightMode uint8, lookAhead bool) {
-		fmEquivCheck(t, seed, weightMode, lookAhead)
+	for s := int64(1); s <= 4; s++ {
+		f.Add(s, uint8(s-1), true, true)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, weightMode uint8, lookAhead, dense bool) {
+		fmEquivCheck(t, seed, weightMode, lookAhead, dense)
 	})
 }
 
@@ -293,36 +334,57 @@ func FuzzFMPassEquivalence(f *testing.F) {
 func TestFMPassEquivalenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		for mode := uint8(0); mode < 4; mode++ {
-			fmEquivCheck(t, seed, mode, true)
-			fmEquivCheck(t, seed, mode, false)
+			for _, dense := range []bool{false, true} {
+				fmEquivCheck(t, seed, mode, true, dense)
+				fmEquivCheck(t, seed, mode, false, dense)
+			}
 		}
 	}
 }
 
-// BenchmarkFMPass measures one FM pass of the production engine on a
-// 20k-vertex random hypergraph (uniform weights: dense-lattice buckets).
+// BenchmarkFMPass measures one FM pass of the production engine on two
+// shapes with unit weights (dense-lattice buckets): a sparse 20k-vertex
+// random hypergraph, and a coarse one — 300 vertices and 100 two- and
+// three-pin nets per vertex, the shape of a stalled coarse level of a
+// large bisection, where one move re-updates a neighbor through many
+// shared nets at the cut.
 func BenchmarkFMPass(b *testing.B) {
-	for _, la := range []bool{false, true} {
-		b.Run(fmt.Sprintf("lookahead=%v", la), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(7))
-			h := normalize(randomFMHypergraph(rng, 20000, 0))
-			base := make([]int8, h.NumV)
-			for v := range base {
-				base[v] = int8(rng.Intn(2))
+	shapes := []struct {
+		name string
+		h    func(rng *rand.Rand) *Hypergraph
+	}{
+		{"sparse", func(rng *rand.Rand) *Hypergraph { return randomFMHypergraph(rng, 20000, 0, false) }},
+		{"coarse", func(rng *rand.Rand) *Hypergraph {
+			h := &Hypergraph{NumV: 300}
+			for i := 0; i < 100*h.NumV; i++ {
+				h.Nets = append(h.Nets, smallNet(rng, h.NumV))
 			}
-			totalArea := float64(h.NumV)
-			lo, hi := totalArea*0.4, totalArea*0.6
-			sc := &fmScratch{}
-			sc.buildIncidence(h)
-			part := make([]int8, h.NumV)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(part, base)
-				fmPass(h, part, lo, hi, la, sc)
-			}
-			st := sc.stats
-			b.ReportMetric(float64(st.Pushes)/float64(b.N), "pushes/op")
-			b.ReportMetric(float64(st.Pops)/float64(b.N), "pops/op")
-		})
+			return h
+		}},
+	}
+	for _, shape := range shapes {
+		for _, la := range []bool{false, true} {
+			b.Run(fmt.Sprintf("shape=%s/lookahead=%v", shape.name, la), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(7))
+				h := normalize(shape.h(rng))
+				base := make([]int8, h.NumV)
+				for v := range base {
+					base[v] = int8(rng.Intn(2))
+				}
+				totalArea := float64(h.NumV)
+				lo, hi := totalArea*0.4, totalArea*0.6
+				sc := &fmScratch{}
+				sc.buildIncidence(h)
+				part := make([]int8, h.NumV)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(part, base)
+					fmPass(h, part, lo, hi, la, sc)
+				}
+				st := sc.stats
+				b.ReportMetric(float64(st.Pushes)/float64(b.N), "pushes/op")
+				b.ReportMetric(float64(st.Pops)/float64(b.N), "pops/op")
+			})
+		}
 	}
 }

@@ -64,8 +64,9 @@ func (s *Stats) Snapshot() Stats {
 	}
 }
 
-// tieCheck, when set by tests, verifies every memoized tie value in
-// fmPass against the reference lookAheadGain and panics on divergence.
+// tieCheck, when set by tests, makes fmPass record the reference
+// lookAheadGain at every gain update and panic when a tie it pushes
+// differs from that record in any bit.
 var tieCheck bool
 
 // Hypergraph is the partitioning input. Vertices are 0..NumV-1.
@@ -266,22 +267,32 @@ func normalize(h *Hypergraph) *Hypergraph {
 			out.Fixed[i] = -1
 		}
 	}
-	stamp := make([]int, h.NumV)
+	stamp := make([]int32, h.NumV)
 	for i := range stamp {
 		stamp[i] = -1
 	}
+	totalPins := 0
+	for _, net := range h.Nets {
+		totalPins += len(net)
+	}
+	// One slab sized for every pin: appends never reallocate it, so the
+	// net slices cut from it stay valid.
+	slab := make([]int32, 0, totalPins)
+	out.Nets = make([][]int32, 0, len(h.Nets))
+	out.Weight = make([]float64, 0, len(h.Nets))
 	for i, net := range h.Nets {
-		var uniq []int32
+		start := len(slab)
 		for _, v := range net {
-			if stamp[v] != i {
-				stamp[v] = i
-				uniq = append(uniq, v)
+			if stamp[v] != int32(i) {
+				stamp[v] = int32(i)
+				slab = append(slab, v)
 			}
 		}
-		if len(uniq) < 2 {
+		if len(slab)-start < 2 {
+			slab = slab[:start]
 			continue
 		}
-		out.Nets = append(out.Nets, uniq)
+		out.Nets = append(out.Nets, slab[start:len(slab):len(slab)])
 		out.Weight = append(out.Weight, h.netWeight(i))
 	}
 	// Weight slice always present after normalize.
@@ -848,38 +859,41 @@ type fmScratch struct {
 }
 
 // fmNet packs everything the FM inner loops read about a net — weight,
-// side counts, and the look-ahead tie code (both sides, 2 bits each) —
-// into one 24-byte record, so a random net index touches one cache line
-// instead of one line per parallel array.
+// side counts, the look-ahead tie code (both sides, 2 bits each), and the
+// code's replay history (the code before its last change and that
+// change's sequence number) — into one 24-byte record, so a random net
+// index touches one cache line instead of one line per parallel array.
 type fmNet struct {
 	w    float64
 	cnt  [2]int32
 	code uint8
-	_    [7]byte
+	old  uint8 // code before the last change
+	_    [2]byte
+	chg  uint32 // code-change sequence number of the last change
 }
 
-// fmVert is the matching per-vertex record: current gain, the tie value
-// of the most recent update, the staleness stamp, the per-move touch and
-// tie-dirty epochs, and the live flag. Exactly 32 bytes — two vertices
-// per cache line.
+// fmVert is the matching per-vertex record: current gain, the staleness
+// stamp, the per-move touch epoch, the code-change sequence number at the
+// vertex's last gain update, and the live flag. 24 bytes.
 type fmVert struct {
 	gain    float64
-	lastTie float64
 	stamp   uint32
 	touchEp uint32 // move epoch of the vertex's last touch (push dedup)
-	tieEp   uint32 // move epoch while the vertex's tie is pending evaluation
+	upd     uint32 // code-change sequence number at the last gain update
 	flags   uint32 // fmLive: the vertex's latest queue entry is still queued
 }
 
 const fmLive uint32 = 1
 
-// tieTab maps a one-sided tie code to the factor its net contributes to
-// the tie sum. Folding the branchy += / -= pair into t += w*tieTab[b] is
-// bit-exact: w*1 == w and w*(-1) == -w exactly, t + (-w) is IEEE-identical
-// to t - w, and the b == 0 row adds a signed zero, which never changes t
-// (the sums here cannot produce -0, and -0 + ±0 stays -0). Only b == 3
-// needs the original two dependent adds, since (t+w)-w is not t in floats.
-var tieTab = [4]float64{0, 1, -1, 0}
+// tieTab maps a one-sided tie code b to the factors of the two adds its
+// net contributes to the tie sum: t += w*tieTab[b][0]; t += w*tieTab[b][1]
+// is bit-exact against the legacy branchy += / -= pair, with no branch on
+// the code. w*1 == w and w*(-1) == -w exactly, t + (-w) is IEEE-identical
+// to t - w, and a zero factor adds a signed zero, which never changes t
+// (the sums here start at +0 and cannot produce -0). b == 3 (both
+// verdicts) keeps the legacy's two dependent adds, since (t+w)-w is not t
+// in floats; every other code's second add is the zero.
+var tieTab = [4][2]float64{{0, 0}, {1, 0}, {-1, 0}, {1, -1}}
 
 // buildIncidence fills sc.inc with h's vertex → net index, ascending net
 // order per vertex (identical to what incidence() returns, minus the
@@ -956,10 +970,11 @@ func refine(h *Hypergraph, part []int8, opt Options, sc *fmScratch) {
 //     order, so its pop sequence is the same sequence.
 //   - Pushes are deduplicated per move: no pop happens between a move's
 //     gain updates, so of a neighbor's several updates only the last
-//     (gain, tie) snapshot is observable. The tie is still evaluated
-//     eagerly at every update into lastTie — the legacy key carries the
-//     tie as of the vertex's last update, and later nets of the same move
-//     can flip tie codes without touching the vertex's gain again.
+//     (gain, tie) snapshot is observable. The legacy key carries the tie
+//     as of the vertex's last update, and later nets of the same move can
+//     flip tie codes without touching the vertex's gain again, so the
+//     flush replays the tie: a net whose codes changed after the update
+//     contributes the code it had before that change.
 //   - Compaction removes only stale entries, which no pop sequence can
 //     observe, at a deterministic (size-based) trigger.
 func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmScratch) bool {
@@ -987,9 +1002,9 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 		}
 	}
 
-	// Packed per-vertex state. gain and lastTie would not strictly need
-	// the clearing (both are written before they are read), but zeroing
-	// whole records is one memclr.
+	// Packed per-vertex state. gain would not strictly need the clearing
+	// (it is written before it is read), but zeroing whole records is one
+	// memclr.
 	sc.verts = grown(sc.verts, n)
 	verts := sc.verts
 	clear(verts)
@@ -1074,7 +1089,7 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 	// count change, turning the tie evaluation — the FM profile leader at
 	// 100k+ vertices — into a byte test per incident net. The summation
 	// below replays the original's adds in the original order, so every
-	// tie value is bit-identical to a fresh lookAheadGain call.
+	// tie value is bit-identical to a lookAheadGain call at the same point.
 	//
 	// A net's codes are non-zero only while a side count sits in the
 	// critical band {1, 2} — only nets at or next to the cut. inBand gates
@@ -1112,36 +1127,58 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 			}
 		}
 	}
+	// cseq numbers the pass's code changes; a net records the number of
+	// its last change (chg) and the codes it had before (old), a vertex
+	// the number current at its last gain update (upd). The counter
+	// cannot wrap: each change is one (mover, incident net) pair and a
+	// pass moves each vertex at most once, so it stays below the pin
+	// count, which the int32 CSR offsets already bound.
+	var cseq uint32
+	// tieOf replays v's tie as of its last gain update: a net whose codes
+	// changed after that update contributes the codes it had before the
+	// change. A net's codes change at most once per move (rows are
+	// deduplicated) and only the mover's nets change, so for a vertex
+	// updated during the current move old is exactly the code the legacy
+	// engine's eager evaluation read. Before the first move no net has
+	// changed (every chg and upd is 0), so the same walk serves the
+	// initial pushes.
 	tieOf := func(v int32) float64 {
 		var t float64
 		sh := uint(part[v]) * 2
+		upd := verts[v].upd
 		for _, ni := range inc.row(v) {
 			nt := &nets[ni]
-			b := (nt.code >> sh) & 3
-			if b == 3 {
-				// Both verdicts: the legacy pair of dependent adds is not
-				// foldable — (t+w)-w need not equal t in floats.
-				t += nt.w
-				t -= nt.w
-				continue
+			code := nt.code
+			if nt.chg > upd {
+				code = nt.old
 			}
-			t += nt.w * tieTab[b]
+			f := &tieTab[(code>>sh)&3]
+			t += nt.w * f[0]
+			t += nt.w * f[1]
 		}
 		return t
 	}
-	// evalTie is the tie evaluator the pass actually calls: the bare memo
-	// walk on the production path, a constant zero when look-ahead is off
-	// (tieCode is not even built then), and a differential-checked variant
-	// only under the tieCheck test hook — the hook's global load used to
-	// sit inside the hot closure.
+	// evalTie is the tie evaluator the pass actually calls: the bare
+	// replay walk on the production path, a constant zero when look-ahead
+	// is off (tieCode is not even built then), and a differential-checked
+	// variant only under the tieCheck test hook. The check compares each
+	// replayed tie with the reference lookAheadGain recorded into refTie
+	// at the vertex's last gain update (or before the first move, for the
+	// initial pushes); refTie stays nil on the production path, so the
+	// hook's global load never enters the hot closures.
 	evalTie := tieOf
+	var refTie []float64
 	if !lookAhead {
 		evalTie = zeroTie
 	} else if tieCheck {
+		refTie = make([]float64, n)
+		for v := int32(0); v < int32(n); v++ {
+			refTie[v] = lookAheadGain(inc, nets, part, v)
+		}
 		evalTie = func(v int32) float64 {
 			t := tieOf(v)
-			if ref := lookAheadGain(inc, nets, part, v); ref != t {
-				panic(fmt.Sprintf("tieCode memo diverged from lookAheadGain: v=%d memo=%v ref=%v", v, t, ref))
+			if ref := refTie[v]; math.Float64bits(ref) != math.Float64bits(t) {
+				panic(fmt.Sprintf("replayed tie diverged from lookAheadGain at the last update: v=%d replay=%v ref=%v", v, t, ref))
 			}
 			return t
 		}
@@ -1158,23 +1195,21 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 		}
 	}
 
-	// noteUpdate defers the tie: it only marks the vertex tie-dirty
-	// (tieEp). The memo walk runs at most once per vertex per move, at the
-	// next point its value is observable — either a clean sweep right
-	// before an incident net's codes change, or the move's flush. Both
-	// points see exactly the code state the legacy engine's eager
-	// evaluation saw (no incident net's codes may change in between: every
-	// setCode is preceded by a clean sweep over that net's pins), so the
-	// stored values are bit-identical with strictly fewer evaluations.
+	// noteUpdate defers the tie: it only stamps the vertex with the code
+	// sequence number of the update. The move's flush walks each touched
+	// vertex once and replays the codes its nets had at that stamp.
 	var moveEp uint32
 	noteUpdate := func(u int32, d float64) {
 		sc.stats.GainUpdates++
 		vt := &verts[u]
 		vt.gain += d
-		vt.tieEp = moveEp
+		vt.upd = cseq
 		if vt.touchEp != moveEp {
 			vt.touchEp = moveEp
 			sc.touched = append(sc.touched, u)
+		}
+		if refTie != nil {
+			refTie[u] = lookAheadGain(inc, nets, part, u)
 		}
 	}
 
@@ -1236,23 +1271,15 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 					}
 				}
 			}
+			nt.cnt[from] = cf - 1
+			nt.cnt[to] = ct + 1
 			if lookAhead && (inBand(cf, ct) || inBand(cf-1, ct+1)) {
-				// This net's codes are about to change: settle every
-				// pending tie among its pins first, while counts and
-				// codes still agree (inBand is symmetric in its
-				// arguments, so the pre/post test needs no side mapping).
-				for _, u := range net {
-					if verts[u].tieEp == moveEp {
-						verts[u].lastTie = evalTie(u)
-						verts[u].tieEp = 0
-					}
-				}
-				nt.cnt[from] = cf - 1
-				nt.cnt[to] = ct + 1
+				// The net's codes change (inBand is symmetric in its
+				// arguments, so the pre/post test needs no side mapping):
+				// keep the old ones for the flush's replay.
+				cseq++
+				nt.old, nt.chg = nt.code, cseq
 				setCode(ni)
-			} else {
-				nt.cnt[from] = cf - 1
-				nt.cnt[to] = ct + 1
 			}
 			if cf == 1 {
 				for _, u := range net {
@@ -1272,22 +1299,17 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 		area0 = na0
 		// Deduplicated deferred pushes: one entry per neighbor this move
 		// touched, carrying its final gain and last-update tie — the only
-		// snapshot the legacy engine's pops could observe. A tie still
-		// pending here saw no further code changes on its nets since its
-		// last update, so evaluating it now yields the update-time value.
+		// snapshot the legacy engine's pops could observe. The tie walk
+		// replays the codes as of that update, once per touched vertex.
 		for _, u := range sc.touched {
 			sc.stats.Pushes++
 			vt := &verts[u]
 			vt.stamp++
-			if vt.tieEp == moveEp {
-				vt.lastTie = evalTie(u)
-				vt.tieEp = 0
-			}
 			if vt.flags&fmLive == 0 {
 				vt.flags |= fmLive
 				sc.bq.live++
 			}
-			sc.bq.push(gainEntry{gain: vt.gain, tie: vt.lastTie, v: u, stamp: vt.stamp})
+			sc.bq.push(gainEntry{gain: vt.gain, tie: evalTie(u), v: u, stamp: vt.stamp})
 		}
 		sc.touched = sc.touched[:0]
 		cum += ent.gain

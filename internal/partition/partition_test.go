@@ -273,9 +273,9 @@ func TestWorkerInvariance(t *testing.T) {
 }
 
 // TestTieCodeMatchesLookAhead drives full Bipartition runs over random
-// weighted hypergraphs with the fmPass tie memo cross-checked against the
-// reference lookAheadGain on every evaluation (tieCheck panics on the
-// first diverging bit).
+// weighted hypergraphs with every tie fmPass pushes cross-checked against
+// the reference lookAheadGain as of the vertex's last gain update
+// (tieCheck panics on the first diverging bit).
 func TestTieCodeMatchesLookAhead(t *testing.T) {
 	tieCheck = true
 	defer func() { tieCheck = false }()

@@ -9,6 +9,7 @@ package place
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"tps/internal/image"
 	"tps/internal/netlist"
@@ -44,6 +45,8 @@ type Placer struct {
 	// every Bipartition the placer issues (atomic adds: cells fork).
 	fmPool  *partition.ScratchPool
 	fmStats partition.Stats
+	// bisectPool recycles bisect's hypergraph-building scratch.
+	bisectPool sync.Pool
 }
 
 // FMStats returns the accumulated FM gain-structure counters of every
@@ -60,8 +63,10 @@ func (p *Placer) workers() int {
 
 // New creates a placer. The image must be at level 0 (fresh).
 func New(nl *netlist.Netlist, im *image.Image, seed int64) *Placer {
-	return &Placer{NL: nl, Im: im, Seed: seed, MaxNetPins: 128, Tolerance: 0.12,
+	p := &Placer{NL: nl, Im: im, Seed: seed, MaxNetPins: 128, Tolerance: 0.12,
 		fmPool: partition.NewScratchPool()}
+	p.bisectPool.New = func() any { return new(bisectScratch) }
+	return p
 }
 
 // Status returns the placement progress number (0–100).
@@ -286,45 +291,47 @@ func (p *Placer) bisect(gates []*netlist.Gate, ax axis, cut float64, targetFrac,
 		return nil, gates
 	}
 
+	sc := p.bisectPool.Get().(*bisectScratch)
+	defer p.bisectPool.Put(sc)
+	ep := sc.begin(p.NL.GateCap(), p.NL.NetCap())
+
 	nv := len(gates)
-	h := &partition.Hypergraph{
-		NumV:  nv + 2,
-		Area:  make([]float64, nv+2),
-		Fixed: make([]int8, nv+2),
-	}
+	sc.area = grown(sc.area, nv+2)
+	sc.fixed = grown(sc.fixed, nv+2)
 	t := p.NL.Lib.Tech
-	vid := make(map[*netlist.Gate]int32, nv)
 	for i, g := range gates {
 		a := g.Area(t)
 		if a <= 0 {
 			a = 1e-3 // zero-footprint gates (clock-schedule trick) still count
 		}
-		h.Area[i] = a
-		h.Fixed[i] = -1
-		vid[g] = int32(i)
+		sc.area[i] = a
+		sc.fixed[i] = -1
+		sc.vert[g.ID] = stampedVert{ep, int32(i)}
 	}
 	term := [2]int32{int32(nv), int32(nv + 1)}
-	h.Fixed[term[0]] = 0
-	h.Fixed[term[1]] = 1
 	// Terminal areas are zero: they must not consume balance budget.
+	sc.area[term[0]], sc.area[term[1]] = 0, 0
+	sc.fixed[term[0]], sc.fixed[term[1]] = 0, 1
 
-	seen := make(map[int]bool)
+	// Pin lists land in one slab; the net slices are cut from it once it
+	// stops growing.
+	sc.slab, sc.off, sc.weight = sc.slab[:0], append(sc.off[:0], 0), sc.weight[:0]
 	for _, g := range gates {
 		for _, pin := range g.Pins {
 			n := pin.Net
-			if n == nil || seen[n.ID] || n.Weight <= 0 {
+			if n == nil || sc.netEp[n.ID] == ep || n.Weight <= 0 {
 				continue
 			}
-			seen[n.ID] = true
+			sc.netEp[n.ID] = ep
 			pins := n.Pins()
 			if len(pins) > p.MaxNetPins {
 				continue
 			}
-			var verts []int32
+			start := len(sc.slab)
 			hasTerm := [2]bool{}
 			for _, q := range pins {
-				if v, ok := vid[q.Gate]; ok {
-					verts = append(verts, v)
+				if sv := sc.vert[q.Gate.ID]; sv.ep == ep {
+					sc.slab = append(sc.slab, sv.v)
 					continue
 				}
 				side := 0
@@ -333,16 +340,22 @@ func (p *Placer) bisect(gates []*netlist.Gate, ax axis, cut float64, targetFrac,
 				}
 				if !hasTerm[side] {
 					hasTerm[side] = true
-					verts = append(verts, term[side])
+					sc.slab = append(sc.slab, term[side])
 				}
 			}
-			if len(verts) < 2 {
+			if len(sc.slab)-start < 2 {
+				sc.slab = sc.slab[:start]
 				continue
 			}
-			h.Nets = append(h.Nets, verts)
-			h.Weight = append(h.Weight, n.Weight)
+			sc.off = append(sc.off, int32(len(sc.slab)))
+			sc.weight = append(sc.weight, n.Weight)
 		}
 	}
+	sc.nets = grown(sc.nets, len(sc.weight))
+	for i := range sc.nets {
+		sc.nets[i] = sc.slab[sc.off[i]:sc.off[i+1]]
+	}
+	h := &partition.Hypergraph{NumV: nv + 2, Area: sc.area, Fixed: sc.fixed, Nets: sc.nets, Weight: sc.weight}
 
 	opt := partition.DefaultOptions(seed)
 	opt.TargetFrac = targetFrac
@@ -351,6 +364,14 @@ func (p *Placer) bisect(gates []*netlist.Gate, ax axis, cut float64, targetFrac,
 	opt.Stats = &p.fmStats
 	opt.Scratch = p.fmPool
 	res := partition.Bipartition(h, opt)
+	n0 := 0
+	for _, s := range res.Part[:nv] {
+		if s == 0 {
+			n0++
+		}
+	}
+	out := make([]*netlist.Gate, nv)
+	side0, side1 = out[:0:n0], out[n0:n0:nv]
 	for i, g := range gates {
 		if res.Part[i] == 0 {
 			side0 = append(side0, g)
@@ -359,6 +380,59 @@ func (p *Placer) bisect(gates []*netlist.Gate, ax axis, cut float64, targetFrac,
 		}
 	}
 	return side0, side1
+}
+
+// bisectScratch is the reusable working state of one bisect call: the
+// gate-ID → vertex and net-ID → taken lookups as epoch-stamped slices
+// (an entry counts only when it carries the call's epoch, so nothing is
+// cleared between calls), and the hypergraph's areas, fixed flags, and
+// net pin lists in one slab. Bisections run concurrently, so each call
+// draws its own scratch from Placer.bisectPool; Bipartition keeps no
+// reference to its input, so the scratch is free again on return.
+type bisectScratch struct {
+	ep     uint32
+	vert   []stampedVert // by gate ID
+	netEp  []uint32      // by net ID: epoch of the call that took the net
+	area   []float64
+	fixed  []int8
+	slab   []int32
+	off    []int32 // net i's pins are slab[off[i]:off[i+1]]
+	nets   [][]int32
+	weight []float64
+}
+
+// stampedVert maps a gate to its bisection vertex v, valid in epoch ep.
+type stampedVert struct {
+	ep uint32
+	v  int32
+}
+
+// begin starts a bisect call: it advances the epoch and sizes the ID
+// lookups to the netlist's current ID bounds. Fresh or regrown lookups
+// are zero, which no live epoch (>= 1) matches.
+func (sc *bisectScratch) begin(gateCap, netCap int) uint32 {
+	sc.ep++
+	if sc.ep == 0 { // wrapped: every old stamp could match again
+		clear(sc.vert)
+		clear(sc.netEp)
+		sc.ep = 1
+	}
+	if len(sc.vert) < gateCap {
+		sc.vert = make([]stampedVert, gateCap)
+	}
+	if len(sc.netEp) < netCap {
+		sc.netEp = make([]uint32, netCap)
+	}
+	return sc.ep
+}
+
+// grown returns s resized to n elements, reallocating only on capacity
+// growth. Contents are unspecified; callers overwrite what they read.
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // pullSide returns the side (0/1) whose connected-pin centroid is closer

@@ -342,8 +342,11 @@ func (r *race) run(i int) {
 }
 
 // exec parses, forks, and runs one entrant flow, returning the final
-// design on success.
-func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTracer) (*netio.State, error) {
+// design on success. A panic in the flow becomes the entrant's error,
+// stack included: it fails this entrant only (autoflow generations race
+// through here too).
+func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTracer) (_ *netio.State, err error) {
+	defer scenario.CatchPanic(&err)
 	script, err := scenario.Parse(e.Script)
 	if err != nil {
 		return nil, err

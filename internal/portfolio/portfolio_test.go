@@ -38,6 +38,12 @@ func init() {
 			return scenario.Report{}, errors.New("deliberate portfolio failure")
 		},
 	})
+	scenario.Register(scenario.Transform{
+		Name: "pboom", Doc: "test: always panics",
+		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
+			panic("deliberate portfolio panic")
+		},
+	})
 }
 
 const quickScript = `
@@ -271,6 +277,30 @@ func TestRaceNoWinner(t *testing.T) {
 		if v.Status != portfolio.StatusFailed || v.Err == "" {
 			t.Fatalf("entrant %d: status %s err %q", i, v.Status, v.Err)
 		}
+	}
+}
+
+// TestRacePanickingEntrant: an entrant whose transform panics fails on
+// its own — verdict failed, panic value and stack in its error — while
+// the race goes on and adopts the entrant that finished.
+func TestRacePanickingEntrant(t *testing.T) {
+	base := baseDesign(t, 18)
+	res, err := portfolio.Race(context.Background(), base, portfolio.Spec{
+		Entrants: []portfolio.Entrant{
+			{Script: "scenario boom\ninit {\n  qplace\n  pboom\n}\n", Seed: 1},
+			{Script: quickScript, Seed: 2},
+		},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatalf("race with one panicking entrant: %v", err)
+	}
+	v := res.Verdicts[0]
+	if v.Status != portfolio.StatusFailed || !strings.Contains(v.Err, "panic: deliberate portfolio panic") || !strings.Contains(v.Err, "goroutine ") {
+		t.Fatalf("panicking entrant: status %s err %q, want failed with panic value and stack", v.Status, v.Err)
+	}
+	if res.Winner != 1 || res.Verdicts[1].Status != portfolio.StatusFinished {
+		t.Fatalf("winner %d (%+v), want the finished entrant 1", res.Winner, res.Verdicts[1])
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"time"
 
 	"tps/internal/netio"
@@ -22,6 +23,16 @@ import (
 // steps instead roll back to their checkpoint and count as rejected.
 func Run(c *Context, s *Script) (Metrics, error) {
 	return RunContext(context.Background(), c, s)
+}
+
+// CatchPanic, deferred directly by a function with a named error
+// result, turns a panic on that goroutine into that error — "panic: "
+// plus the value and the stack — so a failing flow ends its own run
+// instead of the host process (a tpsd job, a race entrant).
+func CatchPanic(err *error) {
+	if p := recover(); p != nil {
+		*err = fmt.Errorf("panic: %v\n%s", p, debug.Stack())
+	}
 }
 
 // RunContext is Run under a cancellation context. Cancelling ctx stops

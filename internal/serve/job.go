@@ -135,21 +135,27 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 
-	// Fresh fork and analyzer stack per run: correctness over analyzer
-	// warmness. The warm part of a stored-design re-run is the skipped
-	// .tpn parse, not incremental analyzer state.
-	c := scenario.NewContext(j.sd.base.Fork(), j.seed)
-	c.SetWorkers(granted)
-	c.Trace = j.hub
-	m, err := scenario.RunContext(ctx, c, j.script)
-	accepts, rejects := c.Accepts, c.Rejects
-	c.Close()
-
+	m, accepts, rejects, err := j.runScript(ctx, granted)
 	if err != nil {
 		j.finish(nil, accepts, rejects, err)
 		return
 	}
 	j.finish(&m, accepts, rejects, nil)
+}
+
+// runScript runs a plain-scenario job on a fresh fork and analyzer
+// stack: correctness over analyzer warmness. The warm part of a
+// stored-design re-run is the skipped .tpn parse, not incremental
+// analyzer state. A panic in the flow becomes the job's error, stack
+// included, so it fails this job and the worker keeps serving.
+func (j *Job) runScript(ctx context.Context, workers int) (m scenario.Metrics, accepts, rejects int, err error) {
+	defer scenario.CatchPanic(&err)
+	c := scenario.NewContext(j.sd.base.Fork(), j.seed)
+	defer c.Close()
+	c.SetWorkers(workers)
+	c.Trace = j.hub
+	m, err = scenario.RunContext(ctx, c, j.script)
+	return m, c.Accepts, c.Rejects, err
 }
 
 // finishRace summarizes a race result into the job's terminal state:

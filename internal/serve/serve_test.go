@@ -40,6 +40,12 @@ func init() {
 			return scenario.Report{}, nil
 		},
 	})
+	scenario.Register(scenario.Transform{
+		Name: "boom", Doc: "test: panic mid-flow",
+		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
+			panic("deliberate job panic")
+		},
+	})
 }
 
 const quickScript = `
@@ -73,6 +79,15 @@ const stallScript = `
 scenario stuck
 init {
   stall
+}
+`
+
+// boomScript panics after the design has been placed.
+const boomScript = `
+scenario boom
+init {
+  qplace
+  boom
 }
 `
 
@@ -504,3 +519,55 @@ func listJobs(t *testing.T, base string) []serve.JobInfo {
 }
 
 var _ = fmt.Sprintf // keep fmt for debug edits
+
+// A panicking transform fails its own job — state failed, the panic
+// value and stack in the job error and in the terminal flow_end — for a
+// plain job and a race alike, and the single worker goes on to run the
+// next job to completion.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	_, hs := newServer(t, serve.Config{Concurrency: 1})
+	base := hs.URL
+	hasPanic := func(s string) bool {
+		return strings.Contains(s, "panic: deliberate job panic") && strings.Contains(s, "goroutine ")
+	}
+
+	_, sub := submit(t, base, serve.SubmitRequest{Netlist: tpnText(t, 41), Scenario: boomScript})
+	info := waitState(t, base, sub.JobID, serve.JobFailed, serve.JobDone, serve.JobCanceled)
+	if info.State != serve.JobFailed || !hasPanic(info.Error) {
+		t.Fatalf("panicking job: state %s error %q, want failed with panic value and stack", info.State, info.Error)
+	}
+	evs := readTrace(t, base, sub.JobID)
+	if end := evs[len(evs)-1]; end.Type != scenario.EvFlowEnd || !hasPanic(end.Err) {
+		t.Fatalf("terminal event = %+v, want flow_end carrying the panic", end)
+	}
+
+	req := raceRequest(2, boomScript)
+	req.Netlist = tpnText(t, 42)
+	_, sub = submit(t, base, req)
+	info = waitState(t, base, sub.JobID, serve.JobFailed, serve.JobDone, serve.JobCanceled)
+	if info.State != serve.JobFailed || info.Race == nil {
+		t.Fatalf("panicking race: state %s race %+v, want failed with a race report", info.State, info.Race)
+	}
+	for _, v := range info.Race.Verdicts {
+		if v.Status != "failed" || !hasPanic(v.Error) {
+			t.Fatalf("entrant %s: status %s error %q, want failed with the panic", v.Name, v.Status, v.Error)
+		}
+	}
+	ends := 0
+	for _, ev := range readTrace(t, base, sub.JobID) {
+		if ev.Type == scenario.EvFlowEnd && ev.Entrant != "" {
+			ends++
+			if !hasPanic(ev.Err) {
+				t.Fatalf("entrant %s flow_end = %+v, want the panic", ev.Entrant, ev)
+			}
+		}
+	}
+	if ends != 2 {
+		t.Fatalf("%d entrant flow_end records, want 2", ends)
+	}
+
+	_, sub = submit(t, base, serve.SubmitRequest{Netlist: tpnText(t, 43), Scenario: quickScript})
+	if info := waitState(t, base, sub.JobID, serve.JobDone, serve.JobFailed); info.State != serve.JobDone || info.Metrics == nil {
+		t.Fatalf("job after the panics: state %s error %q, want done", info.State, info.Error)
+	}
+}
