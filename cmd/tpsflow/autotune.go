@@ -4,42 +4,10 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"tps"
+	"tps/internal/scenario"
 )
-
-// loadAutotuneSpec reads and parses a -autotune spec file. A `script`
-// base resolves relative to the spec file's directory (so a spec can
-// travel with its script); a `flow` base renders the built-in generated
-// scripts.
-func loadAutotuneSpec(path string) (*tps.AutotuneSpec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dir := filepath.Dir(path)
-	resolve := func(flow, script string) (string, error) {
-		if script != "" {
-			if !filepath.IsAbs(script) {
-				script = filepath.Join(dir, script)
-			}
-			sb, err := os.ReadFile(script)
-			if err != nil {
-				return "", err
-			}
-			return string(sb), nil
-		}
-		switch flow {
-		case "tps":
-			return tps.TPSScript(tps.DefaultTPSOptions()), nil
-		case "spr":
-			return tps.SPRScript(tps.DefaultSPROptions()), nil
-		}
-		return "", fmt.Errorf("unknown flow %q (want tps or spr)", flow)
-	}
-	return tps.ParseAutotuneSpec(string(b), resolve)
-}
 
 // runAutotune executes a search locally: snapshot the design once, run
 // the evolutionary loop, report each generation, and print the winning
@@ -56,7 +24,7 @@ func runAutotune(makeDesign func() (*tps.Design, error), spec *tps.AutotuneSpec,
 	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
 		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), cw, ch, d.Period())
 	fmt.Printf("AUTOTUNE search=%s objective=%s population=%d offspring=%d generations=%d\n",
-		spec.Name, orDefault(spec.Objective, "slack"), spec.Population, spec.Offspring, spec.Generations)
+		spec.Name, orDefault(spec.Objective, scenario.DefaultObjective), spec.Population, spec.Offspring, spec.Generations)
 
 	if verbose {
 		spec.Log = os.Stderr

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"sort"
@@ -97,7 +98,7 @@ func run() error {
 	}
 
 	if *portfolioFile != "" {
-		spec, err := loadRaceSpec(*portfolioFile)
+		spec, err := loadSpec(*portfolioFile, tps.ParseRaceSpec)
 		if err != nil {
 			return err
 		}
@@ -113,7 +114,7 @@ func run() error {
 	}
 
 	if *autotuneFile != "" {
-		spec, err := loadAutotuneSpec(*autotuneFile)
+		spec, err := loadSpec(*autotuneFile, tps.ParseAutotuneSpec)
 		if err != nil {
 			return err
 		}
@@ -271,6 +272,39 @@ func run() error {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	return nil
+}
+
+// flowResolver resolves the flow references race entrants, autotune
+// bases and -submit share: a script path, read relative to dir unless
+// absolute, or a built-in flow (tps or spr) rendered as a script.
+func flowResolver(dir string) func(flow, script string) (string, error) {
+	return func(flow, script string) (string, error) {
+		if script != "" {
+			if !filepath.IsAbs(script) {
+				script = filepath.Join(dir, script)
+			}
+			b, err := os.ReadFile(script)
+			return string(b), err
+		}
+		switch flow {
+		case "tps":
+			return tps.TPSScript(tps.DefaultTPSOptions()), nil
+		case "spr":
+			return tps.SPRScript(tps.DefaultSPROptions()), nil
+		}
+		return "", fmt.Errorf("unknown flow %q (want tps or spr)", flow)
+	}
+}
+
+// loadSpec reads and parses a -portfolio or -autotune spec file. Script
+// paths in it resolve relative to the spec file's directory, so a spec
+// can travel with its scripts.
+func loadSpec[S any](path string, parse func(string, func(flow, script string) (string, error)) (*S, error)) (*S, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return parse(string(b), flowResolver(filepath.Dir(path)))
 }
 
 // saveDesign writes d to path as .tpn — the -out file of every mode.

@@ -4,43 +4,11 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"tps"
+	"tps/internal/scenario"
 )
-
-// loadRaceSpec reads and parses a -portfolio spec file. Entrant
-// `script=` paths resolve relative to the spec file's directory (so a
-// spec can travel with its scripts); `flow=` entrants render the
-// built-in generated scripts.
-func loadRaceSpec(path string) (*tps.RaceSpec, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	dir := filepath.Dir(path)
-	resolve := func(flow, script string) (string, error) {
-		if script != "" {
-			if !filepath.IsAbs(script) {
-				script = filepath.Join(dir, script)
-			}
-			sb, err := os.ReadFile(script)
-			if err != nil {
-				return "", err
-			}
-			return string(sb), nil
-		}
-		switch flow {
-		case "tps":
-			return tps.TPSScript(tps.DefaultTPSOptions()), nil
-		case "spr":
-			return tps.SPRScript(tps.DefaultSPROptions()), nil
-		}
-		return "", fmt.Errorf("unknown flow %q (want tps or spr)", flow)
-	}
-	return tps.ParseRaceSpec(string(b), resolve)
-}
 
 // runPortfolio executes a race locally: fork the design per entrant,
 // race, report every verdict, and adopt the winner. The `RACE winner=`
@@ -56,7 +24,7 @@ func runPortfolio(makeDesign func() (*tps.Design, error), spec *tps.RaceSpec, tr
 	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
 		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), cw, ch, d.Period())
 	fmt.Printf("RACE portfolio=%s objective=%s entrants=%d\n",
-		spec.Name, orDefault(spec.Objective, "slack"), len(spec.Entrants))
+		spec.Name, orDefault(spec.Objective, scenario.DefaultObjective), len(spec.Entrants))
 
 	if verbose {
 		// Context.Logf emits whole lines in single Write calls, so the

@@ -29,7 +29,7 @@ type submitOpts struct {
 // stdout until the terminal flow_end record, and reports the job's
 // final state. The exit status mirrors the remote flow's outcome.
 func runSubmit(o submitOpts) error {
-	scenarioText, err := scenarioSource(o)
+	scenarioText, err := flowResolver("")(o.flow, o.scenarioFile)
 	if err != nil {
 		return err
 	}
@@ -207,25 +207,6 @@ func submitAndStream(baseURL string, req serve.SubmitRequest) error {
 	default:
 		return fmt.Errorf("job %s %s: %s", info.ID, info.State, info.Error)
 	}
-}
-
-// scenarioSource resolves the script text to submit: the -scenario file
-// verbatim, or the built-in flow rendered as a script.
-func scenarioSource(o submitOpts) (string, error) {
-	if o.scenarioFile != "" {
-		b, err := os.ReadFile(o.scenarioFile)
-		if err != nil {
-			return "", err
-		}
-		return string(b), nil
-	}
-	switch o.flow {
-	case "tps":
-		return tps.TPSScript(tps.DefaultTPSOptions()), nil
-	case "spr":
-		return tps.SPRScript(tps.DefaultSPROptions()), nil
-	}
-	return "", fmt.Errorf("unknown flow %q (want tps or spr)", o.flow)
 }
 
 // fetchJob retries briefly: the job goes terminal the instant flow_end

@@ -64,8 +64,9 @@ type Spec struct {
 	// Script is the base scenario script text — generation 0's first
 	// variant and the ancestor of every mutant.
 	Script string
-	// Objective selects the judged metric: "slack" (default), "tns", or
-	// "wire" — larger is better, as everywhere in the scenario engine.
+	// Objective selects the judged metric by scenario.CheckObjective's
+	// vocabulary (default slack) — larger is better, as everywhere in the
+	// scenario engine.
 	Objective string
 	// Population is µ, the survivors kept per generation (default 4).
 	Population int
@@ -107,7 +108,7 @@ type Spec struct {
 	// Must be safe for concurrent use.
 	Trace scenario.Tracer
 	// Log, if set, receives variant flow logs. Must serialize whole
-	// writes (scenario.LockedWriter). Nil silences them.
+	// writes (an *os.File does). Nil silences them.
 	Log io.Writer
 
 	// permuteSalt deterministically shuffles each generation's race
@@ -184,11 +185,55 @@ type variant struct {
 // forked exactly once per variant evaluated, across ALL generations, and
 // never modified.
 func Search(ctx context.Context, base *netio.State, spec Spec) (*Result, error) {
-	s, err := newSearch(base, &spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return s.run(ctx)
+	return newSearch(base, &spec).run(ctx)
+}
+
+// Validate checks everything a search needs before any flow starts: a
+// base script that parses, an objective scenario knows, offspring that
+// fit one race, no negative deadline, freeze and insert lists naming
+// registered transforms, and valid, distinct param domains. Search and
+// ParseSpec both call it.
+func (s *Spec) Validate() error {
+	if s.Script == "" {
+		return errors.New("autoflow: spec has no base script")
+	}
+	if _, err := scenario.Parse(s.Script); err != nil {
+		return fmt.Errorf("autoflow: base script: %w", err)
+	}
+	if err := scenario.CheckObjective(s.Objective); err != nil {
+		return fmt.Errorf("autoflow: %w", err)
+	}
+	if s.Offspring+1 > portfolio.MaxEntrants {
+		return fmt.Errorf("autoflow: offspring %d exceeds the race limit of %d entrants",
+			s.Offspring, portfolio.MaxEntrants-1)
+	}
+	if s.Deadline < 0 {
+		return errors.New("autoflow: negative deadline")
+	}
+	for _, name := range s.Freeze {
+		if scenario.Lookup(name) == nil {
+			return fmt.Errorf("autoflow: freeze names unknown transform %q", name)
+		}
+	}
+	for _, name := range s.Insert {
+		if scenario.Lookup(name) == nil {
+			return fmt.Errorf("autoflow: insert names unknown transform %q", name)
+		}
+	}
+	seen := map[string]bool{}
+	for _, d := range s.Params {
+		if !d.Valid() {
+			return fmt.Errorf("autoflow: bad param domain %q", d.Key)
+		}
+		if seen[d.Key] {
+			return fmt.Errorf("autoflow: duplicate param domain %q", d.Key)
+		}
+		seen[d.Key] = true
+	}
+	return nil
 }
 
 type search struct {
@@ -207,7 +252,8 @@ type search struct {
 	gens     []GenSummary
 }
 
-func newSearch(snap *netio.State, spec *Spec) (*search, error) {
+// newSearch fills in the spec's defaults; spec has passed Validate.
+func newSearch(snap *netio.State, spec *Spec) *search {
 	if spec.Population <= 0 {
 		spec.Population = 4
 	}
@@ -217,39 +263,20 @@ func newSearch(snap *netio.State, spec *Spec) (*search, error) {
 	if spec.Generations <= 0 {
 		spec.Generations = 4
 	}
-	if spec.Offspring+1 > portfolio.MaxEntrants {
-		return nil, fmt.Errorf("autoflow: offspring %d exceeds the race limit of %d entrants",
-			spec.Offspring, portfolio.MaxEntrants-1)
-	}
 	obj := spec.Objective
 	if obj == "" {
-		obj = "slack"
+		obj = scenario.DefaultObjective
 	}
-	switch obj {
-	case "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("autoflow: unknown objective %q (want slack, tns, or wire)", obj)
-	}
-	if spec.Script == "" {
-		return nil, errors.New("autoflow: spec has no base script")
-	}
-	baseScript, err := scenario.Parse(spec.Script)
-	if err != nil {
-		return nil, fmt.Errorf("autoflow: base script: %w", err)
-	}
-	mut, err := newMutator(spec)
-	if err != nil {
-		return nil, err
-	}
+	baseScript, _ := scenario.Parse(spec.Script) // Validate parsed it
 	s := &search{
 		spec:  spec,
 		obj:   obj,
 		snap:  snap,
-		mut:   mut,
+		mut:   newMutator(spec),
 		cache: map[string]*variant{},
 	}
 	s.base = s.intern(baseScript, "base")
-	return s, nil
+	return s
 }
 
 // intern canonicalizes a script and returns its variant, creating one on

@@ -302,6 +302,7 @@ func TestSearchSpecValidation(t *testing.T) {
 	}{
 		{"too many offspring", func(s *Spec) { s.Offspring = portfolio.MaxEntrants }, "exceeds the race limit"},
 		{"bad objective", func(s *Spec) { s.Objective = "area" }, "unknown objective"},
+		{"negative deadline", func(s *Spec) { s.Deadline = -time.Second }, "negative deadline"},
 		{"no script", func(s *Spec) { s.Script = "" }, "no base script"},
 		{"bad script", func(s *Spec) { s.Script = "scenario x\ninit {\n  no_such_transform\n}\n" }, "base script"},
 		{"bad freeze", func(s *Spec) { s.Freeze = []string{"no_such_transform"} }, "freeze names unknown"},

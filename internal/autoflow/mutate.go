@@ -1,7 +1,6 @@
 package autoflow
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 
@@ -62,7 +61,8 @@ type mutator struct {
 	setDomains []scenario.ParamDomain
 }
 
-func newMutator(spec *Spec) (*mutator, error) {
+// newMutator resolves a validated spec's mutation settings.
+func newMutator(spec *Spec) *mutator {
 	m := &mutator{
 		weights:    spec.Weights,
 		frozen:     map[string]bool{},
@@ -75,32 +75,14 @@ func newMutator(spec *Spec) (*mutator, error) {
 		m.frozen[name] = true
 	}
 	for _, name := range spec.Freeze {
-		if scenario.Lookup(name) == nil {
-			return nil, fmt.Errorf("autoflow: freeze names unknown transform %q", name)
-		}
 		m.frozen[name] = true
 	}
 	for _, name := range spec.Insert {
-		t := scenario.Lookup(name)
-		if t == nil {
-			return nil, fmt.Errorf("autoflow: insert names unknown transform %q", name)
+		if !m.frozen[name] {
+			m.insert = append(m.insert, scenario.Lookup(name))
 		}
-		if m.frozen[name] {
-			continue
-		}
-		m.insert = append(m.insert, t)
 	}
-	seen := map[string]bool{}
-	for _, d := range spec.Params {
-		if !d.Valid() {
-			return nil, fmt.Errorf("autoflow: bad param domain %q", d.Key)
-		}
-		if seen[d.Key] {
-			return nil, fmt.Errorf("autoflow: duplicate param domain %q", d.Key)
-		}
-		seen[d.Key] = true
-	}
-	return m, nil
+	return m
 }
 
 // op identifies one mutation operator.

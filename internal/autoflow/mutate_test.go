@@ -17,10 +17,10 @@ func FuzzMutate(f *testing.F) {
 	f.Add(core.SPRScript(core.DefaultSPROptions()), int64(3), uint8(2))
 
 	spec := testSpec("fuzz")
-	mut, err := newMutator(&spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		f.Fatal(err)
 	}
+	mut := newMutator(&spec)
 	partner, err := scenario.Parse(baseScript)
 	if err != nil {
 		f.Fatal(err)
@@ -79,10 +79,10 @@ func FuzzMutate(f *testing.F) {
 // the same child — the property every per-variant stream relies on.
 func TestMutateDeterministic(t *testing.T) {
 	spec := testSpec("mdet")
-	mut, err := newMutator(&spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	mut := newMutator(&spec)
 	parent, err := scenario.Parse(baseScript)
 	if err != nil {
 		t.Fatal(err)
@@ -102,10 +102,10 @@ func TestMutateDeterministic(t *testing.T) {
 // steps survive every mutation with name and arguments intact.
 func TestMutateNeverTouchesFrozen(t *testing.T) {
 	spec := testSpec("frozen")
-	mut, err := newMutator(&spec)
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	mut := newMutator(&spec)
 	parent, err := scenario.Parse(baseScript)
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,7 @@ import (
 // the spec file and renders flows via core's generators; tests stub it).
 // `param` lines declare scenario-level `set` domains the mutator may
 // retune, on top of the step-argument domains transforms declare in the
-// registry.
+// registry. A parsed spec has passed Validate.
 func ParseSpec(text string, resolve func(flow, script string) (string, error)) (*Spec, error) {
 	spec := &Spec{}
 	var flow, script string
@@ -71,12 +71,10 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 			if len(f) != 2 {
 				return nil, specErr(lineNo, "objective needs a value")
 			}
-			switch f[1] {
-			case "slack", "tns", "wire":
-				spec.Objective = f[1]
-			default:
-				return nil, specErr(lineNo, fmt.Sprintf("unknown objective %q", f[1]))
+			if err := scenario.CheckObjective(f[1]); err != nil {
+				return nil, specErr(lineNo, err.Error())
 			}
+			spec.Objective = f[1]
 		case "population", "offspring", "generations", "stall", "workers":
 			if len(f) != 2 {
 				return nil, specErr(lineNo, f[0]+" needs a count")
@@ -173,6 +171,9 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 		return nil, fmt.Errorf("autotune spec: %w", err)
 	}
 	spec.Script = base
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	return spec, nil
 }
 

@@ -154,17 +154,6 @@ func (c *Cell) InputCap(pi, si int) float64 {
 	return c.Ports[pi].CapX1 * c.Sizes[si].X
 }
 
-// TotalInputCapX1 is the sum of all input pin caps at X1.
-func (c *Cell) TotalInputCapX1() float64 {
-	var s float64
-	for _, p := range c.Ports {
-		if p.Dir == Input {
-			s += p.CapX1
-		}
-	}
-	return s
-}
-
 // Output returns the index of the (single) output port, or -1.
 func (c *Cell) Output() int {
 	for i, p := range c.Ports {
@@ -295,9 +284,6 @@ func (l *Library) Add(c *Cell) {
 // Cell returns the named master, or nil.
 func (l *Library) Cell(name string) *Cell { return l.cells[name] }
 
-// ByFunction returns the masters implementing f.
-func (l *Library) ByFunction(f Func) []*Cell { return l.byFunc[f] }
-
 // First returns the first master implementing f, or nil. The default
 // library has exactly one master per function.
 func (l *Library) First(f Func) *Cell {
@@ -320,16 +306,6 @@ func (l *Library) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// AnalyzeLogicalEfforts returns name → logical effort for every master,
-// mirroring the analyze_library() step of Algorithm LogicalEffortNetWeight.
-func (l *Library) AnalyzeLogicalEfforts() map[string]float64 {
-	m := make(map[string]float64, len(l.cells))
-	for n, c := range l.cells {
-		m[n] = c.LogicalEffort
-	}
-	return m
 }
 
 // sizes builds the standard geometric drive-strength ladder for a cell

@@ -145,14 +145,3 @@ func TestDuplicateAddPanics(t *testing.T) {
 	}()
 	l.Add(&Cell{Name: "X", Sizes: []Size{{Name: "X1", X: 1, Width: 1}}})
 }
-
-func TestAnalyzeLogicalEfforts(t *testing.T) {
-	l := Default()
-	m := l.AnalyzeLogicalEfforts()
-	if len(m) != len(l.Names()) {
-		t.Fatalf("analyze covered %d masters, want %d", len(m), len(l.Names()))
-	}
-	if m["INV"] != 1.0 {
-		t.Errorf("INV effort %g", m["INV"])
-	}
-}

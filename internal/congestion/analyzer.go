@@ -267,16 +267,3 @@ func (a *Analyzer) GateAdded(*netlist.Gate) {}
 // GateRemoved implements netlist.Observer (pins already disconnected, each
 // net already reported through NetChanged).
 func (a *Analyzer) GateRemoved(*netlist.Gate) {}
-
-// NetlistCompacted implements netlist.CompactObserver: net IDs were
-// reassigned, so the per-net footprint records are dropped and the next
-// Analyze runs a full pass at the compacted capacity.
-func (a *Analyzer) NetlistCompacted() {
-	a.deposits = a.deposits[:0]
-	a.netLen = a.netLen[:0]
-	a.have = a.have[:0]
-	a.isDirty = a.isDirty[:0]
-	a.dirty = a.dirty[:0]
-	a.allDirty = true
-	a.primed = false
-}

@@ -514,10 +514,3 @@ func (c *Calculator) GateAdded(*netlist.Gate) {}
 
 // GateRemoved implements netlist.Observer.
 func (c *Calculator) GateRemoved(*netlist.Gate) {}
-
-// NetlistCompacted implements netlist.CompactObserver: net IDs were
-// reassigned, so every memoized solution is dropped.
-func (c *Calculator) NetlistCompacted() {
-	c.nets = c.nets[:0]
-	c.valid = c.valid[:0]
-}

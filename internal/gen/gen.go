@@ -415,7 +415,3 @@ func placePadsOnPerimeter(nl *netlist.Netlist, w, h float64) {
 		nl.MoveGate(g, x, y)
 	}
 }
-
-// ClassifyNetKinds derives each net's kind from its sinks; it delegates
-// to netlist.ClassifyKinds and exists for backward-compatible call sites.
-func ClassifyNetKinds(nl *netlist.Netlist) { nl.ClassifyKinds() }

@@ -212,7 +212,7 @@ func TestClassifyNetKinds(t *testing.T) {
 	sn := nl.AddNet("sn")
 	nl.Connect(drv.Output(), sn)
 	nl.Connect(dff.Pin("SI"), sn)
-	ClassifyNetKinds(nl)
+	nl.ClassifyKinds()
 	if ck.Kind != netlist.Clock {
 		t.Errorf("clock net kind = %v", ck.Kind)
 	}
@@ -222,7 +222,7 @@ func TestClassifyNetKinds(t *testing.T) {
 	// Add a data sink → no longer pure scan.
 	g2 := nl.AddGate("g2", lib.Cell("INV"))
 	nl.Connect(g2.Pin("A"), sn)
-	ClassifyNetKinds(nl)
+	nl.ClassifyKinds()
 	if sn.Kind != netlist.Signal {
 		t.Errorf("mixed net kind = %v", sn.Kind)
 	}

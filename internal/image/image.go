@@ -160,18 +160,6 @@ func (im *Image) Status() int {
 	return int(math.Round(100 * float64(im.Level) / float64(im.MaxLevel)))
 }
 
-// LevelForStatus returns the smallest refinement level whose status is ≥ s.
-func (im *Image) LevelForStatus(s int) int {
-	if s <= 0 {
-		return 0
-	}
-	lv := int(math.Ceil(float64(s) / 100 * float64(im.MaxLevel)))
-	if lv > im.MaxLevel {
-		lv = im.MaxLevel
-	}
-	return lv
-}
-
 // AddBlockage marks rect [x0,x1)×[y0,y1) as blocked for placement,
 // reducing area capacity of overlapped bins proportionally to overlap.
 func (im *Image) AddBlockage(x0, y0, x1, y1 float64) {

@@ -123,28 +123,6 @@ func TestOverfull(t *testing.T) {
 	}
 }
 
-func TestLevelForStatus(t *testing.T) {
-	im := newIm()
-	if im.LevelForStatus(0) != 0 {
-		t.Errorf("LevelForStatus(0) = %d", im.LevelForStatus(0))
-	}
-	if im.LevelForStatus(100) != im.MaxLevel {
-		t.Errorf("LevelForStatus(100) = %d, want %d", im.LevelForStatus(100), im.MaxLevel)
-	}
-	if im.LevelForStatus(200) != im.MaxLevel {
-		t.Errorf("LevelForStatus clamps")
-	}
-	// Monotone.
-	prev := 0
-	for s := 0; s <= 100; s += 5 {
-		lv := im.LevelForStatus(s)
-		if lv < prev {
-			t.Fatalf("LevelForStatus not monotone at %d", s)
-		}
-		prev = lv
-	}
-}
-
 // Property: Loc and Center are consistent — the center of any bin maps
 // back to that bin.
 func TestLocCenterRoundTrip(t *testing.T) {

@@ -46,10 +46,3 @@ func (a *arena[T]) alloc() *T {
 	s := a.allocN(1)
 	return &s[0]
 }
-
-// reset drops every chunk. Only valid when no pointers into the arena
-// survive (Compact allocates fresh arenas instead of resetting live ones).
-func (a *arena[T]) reset() {
-	a.chunks = nil
-	a.used = 0
-}

@@ -133,10 +133,6 @@ func (g *Gate) Width() float64 {
 	return w * g.AreaScale
 }
 
-// Height returns the footprint height in µm (row height; AreaScale applies
-// to width only so rows stay legal).
-func (g *Gate) Height(t cell.Tech) float64 { return t.RowHeight }
-
 // Area returns the footprint area in µm².
 func (g *Gate) Area(t cell.Tech) float64 { return g.Width() * t.RowHeight }
 
@@ -305,7 +301,6 @@ type Netlist struct {
 
 	// ID-indexed hot-state slabs (see slab.go).
 	posX, posY []float64 // gate center by gate ID; MoveGate is sole writer
-	pinIndex   []*Pin    // pin object by pin ID
 	pinGate    []int32   // owning gate ID by pin ID
 
 	// Lazily rebuilt CSR view of net→pin membership, keyed on Edits.
@@ -785,7 +780,7 @@ func (nl *Netlist) Check() error {
 			if p.Net != nil && p.Net.Removed {
 				return fmt.Errorf("gate %s pin %s attached to removed net %s", g.Name, p.Name(), p.Net.Name)
 			}
-			if nl.pinIndex[p.ID] != p || nl.pinGate[p.ID] != int32(g.ID) {
+			if nl.pinGate[p.ID] != int32(g.ID) {
 				return fmt.Errorf("gate %s pin %s slab index broken", g.Name, p.Name())
 			}
 		}

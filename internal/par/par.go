@@ -7,10 +7,17 @@
 // any worker count: workers only ever write chunk-private state or disjoint
 // slots of a result slice, and all floating-point reductions happen
 // serially in index order after the fan-out completes.
+//
+// A panic on a goroutine this package forks is recovered there and
+// raised again on the forking goroutine once every worker has joined, so
+// the caller's own recover (a tpsd job's, a race entrant's) sees it
+// instead of the process dying.
 package par
 
 import (
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -62,20 +69,21 @@ func For(w, n int, body func(chunk, lo, hi int)) {
 		body(0, 0, n)
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(c - 1)
+	var j join
+	j.wg.Add(c - 1)
 	for k := 1; k < c; k++ {
 		lo, hi := chunkBounds(k, c, n)
 		go func(k, lo, hi int) {
-			defer wg.Done()
+			defer j.done()
 			body(k, lo, hi)
 		}(k, lo, hi)
 	}
 	// Chunk 0 runs on the caller's goroutine: one fewer handoff, and the
-	// caller participates instead of blocking idle.
+	// caller participates instead of blocking idle. The deferred join
+	// waits for the workers even when chunk 0 panics.
+	defer j.wait()
 	lo, hi := chunkBounds(0, c, n)
 	body(0, lo, hi)
-	wg.Wait()
 }
 
 // SumInts runs For and returns the sum of per-chunk int subtotals, merged
@@ -123,16 +131,16 @@ func ForEach(w, n int, body func(i int)) {
 			body(i)
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(w - 1)
+	var j join
+	j.wg.Add(w - 1)
 	for k := 1; k < w; k++ {
 		go func() {
-			defer wg.Done()
+			defer j.done()
 			run()
 		}()
 	}
+	defer j.wait()
 	run() // the caller participates
-	wg.Wait()
 }
 
 // Group is a bounded fork-join scope for recursive parallel decomposition
@@ -146,7 +154,7 @@ func ForEach(w, n int, body func(i int)) {
 // tasks ran inline versus stolen.
 type Group struct {
 	sem chan struct{}
-	wg  sync.WaitGroup
+	j   join
 }
 
 // NewGroup returns a fork-join scope with at most workers-1 helper
@@ -163,12 +171,10 @@ func NewGroup(workers int) *Group {
 func (g *Group) Spawn(task func()) {
 	select {
 	case g.sem <- struct{}{}:
-		g.wg.Add(1)
+		g.j.wg.Add(1)
 		go func() {
-			defer func() {
-				<-g.sem
-				g.wg.Done()
-			}()
+			defer g.j.done()
+			defer func() { <-g.sem }()
 			task()
 		}()
 	default:
@@ -176,8 +182,53 @@ func (g *Group) Spawn(task func()) {
 	}
 }
 
-// Wait blocks until every spawned task has finished.
-func (g *Group) Wait() { g.wg.Wait() }
+// Wait blocks until every spawned task has finished, then re-raises the
+// first panic a spawned task raised.
+func (g *Group) Wait() { g.j.wait() }
+
+// join is the barrier behind For, ForEach and Group: it waits for the
+// goroutines they fork and carries the first panic among them back to
+// the forking goroutine.
+type join struct {
+	wg sync.WaitGroup
+	mu sync.Mutex
+	p  *workerPanic
+}
+
+// done marks one forked goroutine finished. Each forked goroutine defers
+// it directly, so its recover catches that goroutine's panic.
+func (j *join) done() {
+	if v := recover(); v != nil {
+		p := &workerPanic{value: v, stack: debug.Stack()}
+		j.mu.Lock()
+		if j.p == nil {
+			j.p = p
+		}
+		j.mu.Unlock()
+	}
+	j.wg.Done()
+}
+
+// wait joins the forked goroutines, then panics again with the first
+// panic one of them raised.
+func (j *join) wait() {
+	j.wg.Wait()
+	if j.p != nil {
+		panic(j.p)
+	}
+}
+
+// workerPanic is a panic raised on a forked goroutine, re-raised on the
+// forking one. Its message keeps the original value first and appends
+// the worker's stack, which the re-raise would otherwise lose.
+type workerPanic struct {
+	value any
+	stack []byte
+}
+
+func (p *workerPanic) Error() string {
+	return fmt.Sprintf("%v\n\npar worker stack:\n%s", p.value, p.stack)
+}
 
 // sumBlock is the fixed leaf width of the pairwise summation used by
 // BlockSums. It is a constant — never a function of the worker count — so

@@ -72,9 +72,9 @@ type Spec struct {
 	Name string
 	// Entrants are the competitors, in tie-break priority order.
 	Entrants []Entrant
-	// Objective selects the judged metric: "slack" (default), "tns", or
-	// "wire" — always larger-is-better (wire is negated), matching the
-	// scenario engine's protected-step objective.
+	// Objective selects the judged metric by scenario.CheckObjective's
+	// vocabulary (default slack), on the larger-is-better scale of the
+	// scenario engine's protected steps.
 	Objective string
 	// Deadline caps the whole race's wall clock; zero means none.
 	Deadline time.Duration
@@ -93,7 +93,7 @@ type Spec struct {
 	// (JSONLTracer and the serve hub are).
 	Trace scenario.Tracer
 	// Log, if set, receives entrant flow logs. Must serialize whole
-	// writes (see scenario.LockedWriter). Nil silences entrant logs.
+	// writes (an *os.File does). Nil silences entrant logs.
 	Log io.Writer
 }
 
@@ -180,39 +180,13 @@ func Race(ctx context.Context, base *gen.Design, spec Spec) (*Result, error) {
 // partial Result alongside ctx's error. If all entrants fail, deadline
 // out, or are canceled, the error wraps ErrNoWinner.
 func RaceFrom(ctx context.Context, base *netio.State, spec Spec) (*Result, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	n := len(spec.Entrants)
-	if n == 0 {
-		return nil, errors.New("portfolio: race needs at least one entrant")
-	}
-	if n > MaxEntrants {
-		return nil, fmt.Errorf("portfolio: %d entrants exceeds the limit of %d", n, MaxEntrants)
-	}
 	obj := spec.Objective
 	if obj == "" {
-		obj = "slack"
-	}
-	switch obj {
-	case "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("portfolio: unknown objective %q (want slack, tns, or wire)", obj)
-	}
-	seen := make(map[string]int, n)
-	for i := range spec.Entrants {
-		e := &spec.Entrants[i]
-		name := entrantName(e, i)
-		if j, dup := seen[name]; dup {
-			return nil, fmt.Errorf("portfolio: entrants %d and %d share the name %q", j, i, name)
-		}
-		seen[name] = i
-		if e.Script == "" {
-			return nil, fmt.Errorf("portfolio: entrant %q has no script", name)
-		}
-		// Validate now so a bad spec fails before any flow starts. Each
-		// entrant re-parses privately at run time: a parsed Script carries
-		// per-run step latches and must not be shared across goroutines.
-		if _, err := scenario.Parse(e.Script); err != nil {
-			return nil, fmt.Errorf("portfolio: entrant %q: %w", name, err)
-		}
+		obj = scenario.DefaultObjective
 	}
 
 	raceCtx := ctx
@@ -275,6 +249,45 @@ func RaceFrom(ctx context.Context, base *netio.State, spec Spec) (*Result, error
 		return res, ErrNoWinner
 	}
 	return res, nil
+}
+
+// Validate checks everything a race needs before any flow starts: 1 to
+// MaxEntrants entrants with unique names and scripts that parse, an
+// objective scenario knows, and no negative deadline. RaceFrom and
+// ParseSpec both call it.
+func (s *Spec) Validate() error {
+	n := len(s.Entrants)
+	if n == 0 {
+		return errors.New("portfolio: race needs at least one entrant")
+	}
+	if n > MaxEntrants {
+		return fmt.Errorf("portfolio: %d entrants exceeds the limit of %d", n, MaxEntrants)
+	}
+	if err := scenario.CheckObjective(s.Objective); err != nil {
+		return fmt.Errorf("portfolio: %w", err)
+	}
+	if s.Deadline < 0 {
+		return errors.New("portfolio: negative deadline")
+	}
+	seen := make(map[string]int, n)
+	for i := range s.Entrants {
+		e := &s.Entrants[i]
+		name := entrantName(e, i)
+		if j, dup := seen[name]; dup {
+			return fmt.Errorf("portfolio: entrants %d and %d share the name %q", j, i, name)
+		}
+		seen[name] = i
+		if e.Script == "" {
+			return fmt.Errorf("portfolio: entrant %q has no script", name)
+		}
+		// Each entrant re-parses privately at run time: a parsed Script
+		// carries per-run step latches and must not be shared across
+		// goroutines.
+		if _, err := scenario.Parse(e.Script); err != nil {
+			return fmt.Errorf("portfolio: entrant %q: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // race is one Race invocation's shared state. mu guards verdicts,
@@ -378,7 +391,7 @@ func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTrac
 	}
 	v.Metrics = &m
 	v.Stats = c.AnalyzerStats()
-	v.Objective = objectiveOf(r.obj, &m)
+	v.Objective = m.Objective(r.obj)
 	return netio.CaptureDesign(gd), nil
 }
 
@@ -420,20 +433,15 @@ func (r *race) dominates(obj float64, i, j int) bool {
 }
 
 // bound returns entrant j's best-possible objective: the user-declared
-// Bound if given, else the static bound — worst slack cannot exceed the
-// clock period (slack = required − arrival ≤ period with non-negative
-// arrivals), TNS is a sum of negative slacks so ≤ 0, and negated wire
-// length is ≤ 0.
+// Bound if given, else the static bound, the objective of a perfect
+// design — worst slack at the clock period (slack = required − arrival
+// ≤ period with non-negative arrivals), no negative slack, no wire.
 func (r *race) bound(j int) float64 {
 	if b := r.spec.Entrants[j].Bound; b != nil {
 		return *b
 	}
-	switch r.obj {
-	case "tns", "wire":
-		return 0
-	default:
-		return r.base.Period()
-	}
+	perfect := scenario.Metrics{WorstSlack: r.base.Period()}
+	return perfect.Objective(r.obj)
 }
 
 func (r *race) wasSkipped(i int) bool {
@@ -447,19 +455,6 @@ func (r *race) wasSkipped(i int) bool {
 // canceled verdicts. Anything else is the entrant's own failure.
 func interruptedErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// objectiveOf maps final metrics to the race objective, mirroring the
-// scenario engine's protected-step objective (larger is better).
-func objectiveOf(obj string, m *scenario.Metrics) float64 {
-	switch obj {
-	case "tns":
-		return m.TNS
-	case "wire":
-		return -m.SteinerWireUm
-	default:
-		return m.WorstSlack
-	}
 }
 
 func entrantName(e *Entrant, i int) string {

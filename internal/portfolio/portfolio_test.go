@@ -304,6 +304,28 @@ func TestRacePanickingEntrant(t *testing.T) {
 	}
 }
 
+// TestRaceEntrantUnknownObjective: an entrant whose Params overlay
+// names an objective outside the vocabulary fails on its own instead of
+// being judged by slack; the race adopts the entrant that finished.
+func TestRaceEntrantUnknownObjective(t *testing.T) {
+	res, err := portfolio.Race(context.Background(), baseDesign(t, 19), portfolio.Spec{
+		Entrants: []portfolio.Entrant{
+			{Script: quickScript, Seed: 1, Params: map[string]string{"objective": "area"}},
+			{Script: quickScript, Seed: 2},
+		},
+		Workers: 2,
+	})
+	if err != nil {
+		t.Fatalf("race: %v", err)
+	}
+	if v := res.Verdicts[0]; v.Status != portfolio.StatusFailed || !strings.Contains(v.Err, `unknown objective "area"`) {
+		t.Fatalf("entrant 0: status %s err %q, want failed on the unknown objective", v.Status, v.Err)
+	}
+	if res.Winner != 1 {
+		t.Fatalf("winner %d, want the finished entrant 1", res.Winner)
+	}
+}
+
 // TestRaceSpecValidation: bad specs fail before any flow starts.
 func TestRaceSpecValidation(t *testing.T) {
 	base := baseDesign(t, 1)
@@ -321,6 +343,8 @@ func TestRaceSpecValidation(t *testing.T) {
 		{"bad script", portfolio.Spec{Entrants: []portfolio.Entrant{
 			{Name: "x", Script: "scenario x\ninit {\n  no_such_transform\n}\n"},
 		}}, "unknown transform"},
+		{"too many entrants", portfolio.Spec{Entrants: quickEntrants(portfolio.MaxEntrants + 1)}, "exceeds the limit"},
+		{"negative deadline", portfolio.Spec{Deadline: -time.Second, Entrants: quickEntrants(1)}, "negative deadline"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

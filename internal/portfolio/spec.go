@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"tps/internal/scenario"
 )
 
 // ParseSpec parses the portfolio race spec format — line-oriented and
@@ -23,11 +25,13 @@ import (
 // turns that reference into script text — the CLI reads script= as a
 // file path and renders flow= via core's generators; tests can stub it.
 // `set.` prefixed keys become the entrant's parameter overlay (e.g.
-// set.budget=16 caps the synthesis budget, set.objective is NOT settable
-// this way — the race objective judges all entrants uniformly).
+// set.budget=16 caps the synthesis budget; set.objective only changes
+// what the entrant's protected steps judge by — the race objective
+// judges all entrants uniformly).
 //
 // Seeds default to the entrant's 1-based index, so a spec listing the
-// same flow N times races N seed variants with no further ceremony.
+// same flow N times races N seed variants with no further ceremony. A
+// parsed spec has passed Validate.
 func ParseSpec(text string, resolve func(flow, script string) (string, error)) (*Spec, error) {
 	spec := &Spec{}
 	lineNo := 0
@@ -51,12 +55,10 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 			if len(f) != 2 {
 				return nil, fmt.Errorf("portfolio spec: line %d: objective needs a value", lineNo)
 			}
-			switch f[1] {
-			case "slack", "tns", "wire":
-				spec.Objective = f[1]
-			default:
-				return nil, fmt.Errorf("portfolio spec: line %d: unknown objective %q", lineNo, f[1])
+			if err := scenario.CheckObjective(f[1]); err != nil {
+				return nil, fmt.Errorf("portfolio spec: line %d: %w", lineNo, err)
 			}
+			spec.Objective = f[1]
 		case "deadline":
 			if len(f) != 2 {
 				return nil, fmt.Errorf("portfolio spec: line %d: deadline needs seconds", lineNo)
@@ -88,8 +90,8 @@ func ParseSpec(text string, resolve func(flow, script string) (string, error)) (
 	if spec.Name == "" {
 		return nil, fmt.Errorf("portfolio spec: missing `portfolio <name>` line")
 	}
-	if len(spec.Entrants) == 0 {
-		return nil, fmt.Errorf("portfolio spec: no entrants")
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
 	return spec, nil
 }

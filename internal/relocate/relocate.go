@@ -62,13 +62,6 @@ func (r *Relocator) GateRemoved(g *netlist.Gate) { r.note(g) }
 func (r *Relocator) GateResized(*netlist.Gate)   {}
 func (r *Relocator) NetChanged(*netlist.Net)     {}
 
-// NetlistCompacted implements netlist.CompactObserver: gate IDs were
-// reassigned, so the index is rebuilt from scratch on the next entry.
-func (r *Relocator) NetlistCompacted() {
-	r.valid = false
-	r.pending = r.pending[:0]
-}
-
 func (r *Relocator) note(g *netlist.Gate) {
 	if !r.valid {
 		return

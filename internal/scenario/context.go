@@ -257,10 +257,11 @@ func (c *Context) AnalyzerStats() AnalyzerStats {
 // call that legacy flows didn't, or counter parity breaks.
 //
 // Each line is formatted into a buffer first and handed to the sink as a
-// single Write, so concurrent flows whose contexts share one sink (wrap
-// it in NewLockedWriter) interleave at whole-line granularity instead of
-// corrupting each other's output mid-line. The preferred arrangement is
-// still per-job writer ownership: one Context, one sink.
+// single Write, so concurrent flows whose contexts share a sink that
+// serializes whole Write calls (an *os.File such as stderr does)
+// interleave at whole-line granularity instead of corrupting each other's
+// output mid-line. The preferred arrangement is still per-job writer
+// ownership: one Context, one sink.
 func (c *Context) Logf(format string, args ...interface{}) {
 	if c.Log != nil {
 		c.Log.Write(fmt.Appendf(nil, format+"\n", args...))

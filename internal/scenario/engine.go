@@ -19,8 +19,10 @@ import (
 //
 // Scenario parameters are the script's "set" lines; any parameters
 // already present on the context (e.g. CLI overrides) win over the
-// script's. An error from an unprotected step aborts the run; protected
-// steps instead roll back to their checkpoint and count as rejected.
+// script's; an "objective" outside CheckObjective's vocabulary fails the
+// run before its first step. An error from an unprotected step aborts
+// the run; protected steps instead roll back to their checkpoint and
+// count as rejected.
 func Run(c *Context, s *Script) (Metrics, error) {
 	return RunContext(context.Background(), c, s)
 }
@@ -55,6 +57,9 @@ func RunContext(ctx context.Context, c *Context, s *Script) (Metrics, error) {
 		params[k] = v
 	}
 	c.Params = params
+	if err := CheckObjective(params["objective"]); err != nil {
+		return Metrics{}, fmt.Errorf("scenario: %w", err)
+	}
 	c.closeScratch()
 	c.Scratch = map[string]any{}
 	c.Status, c.PrevStatus = 0, 0
@@ -277,17 +282,47 @@ func (c *Context) execStep(b *Block, st *Step) error {
 	return nil
 }
 
-// objective evaluates the scenario's accept/reject criterion for
-// protected steps: the "objective" parameter selects worst slack
-// (default), total negative slack, or negated Steiner wire length —
-// always larger-is-better.
-func (c *Context) objective() float64 {
-	switch c.ParamStr("objective", "slack") {
-	case "tns":
-		return c.Eng.TNS()
-	case "wire":
-		return -c.St.Total()
-	default:
-		return c.Eng.WorstSlack()
+// DefaultObjective is the objective judged when none is named.
+const DefaultObjective = "slack"
+
+// CheckObjective reports whether name selects an objective: "slack"
+// (worst slack), "tns" (total negative slack), "wire" (Steiner wire
+// length), or "" for the default. Protected steps, portfolio races and
+// autoflow searches all judge by this one vocabulary.
+func CheckObjective(name string) error {
+	switch name {
+	case "", DefaultObjective, "tns", "wire":
+		return nil
 	}
+	return fmt.Errorf("unknown objective %q (want slack, tns, or wire)", name)
+}
+
+// objectiveOf maps a checked objective name to its reading, always
+// larger-is-better (wire length is negated). Only the selected reading
+// is taken, so a protected step pays for the analyzer it is judged by
+// and no other.
+func objectiveOf(name string, slack, tns, wire func() float64) float64 {
+	switch name {
+	case "tns":
+		return tns()
+	case "wire":
+		return -wire()
+	default:
+		return slack()
+	}
+}
+
+// Objective reads the named objective from final metrics, on the same
+// larger-is-better scale protected steps judge by.
+func (m *Metrics) Objective(name string) float64 {
+	return objectiveOf(name,
+		func() float64 { return m.WorstSlack },
+		func() float64 { return m.TNS },
+		func() float64 { return m.SteinerWireUm })
+}
+
+// objective evaluates the scenario's accept/reject criterion for
+// protected steps, selected by the "objective" parameter.
+func (c *Context) objective() float64 {
+	return objectiveOf(c.ParamStr("objective", DefaultObjective), c.Eng.WorstSlack, c.Eng.TNS, c.St.Total)
 }

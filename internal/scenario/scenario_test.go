@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -252,6 +253,38 @@ init {
 	}
 	if rejects != 1 || accepts != 1 {
 		t.Errorf("trace shows %d rejects / %d accepted protected steps, want 1/1", rejects, accepts)
+	}
+}
+
+// An objective outside the vocabulary fails the run before its first
+// step, whether a script `set` line or a Context.Params overlay (a race
+// entrant's, a CLI override) names it — it is never silently judged as
+// slack.
+func TestUnknownObjectiveRejected(t *testing.T) {
+	script := "scenario o\n%sinit {\n  noop_ok protect\n}\n"
+	for _, tc := range []struct {
+		name, set string
+		params    map[string]string
+	}{
+		{"set line", "set objective area\n", nil},
+		{"params overlay", "set objective wire\n", map[string]string{"objective": "area"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := rig(t, 6)
+			c.Params = tc.params
+			_, err := scenario.Run(c, mustParse(t, fmt.Sprintf(script, tc.set)))
+			if err == nil || !strings.Contains(err.Error(), `unknown objective "area"`) {
+				t.Fatalf("err = %v, want the unknown objective", err)
+			}
+			if c.Accepts+c.Rejects != 0 {
+				t.Fatalf("%d protected steps judged under an unknown objective", c.Accepts+c.Rejects)
+			}
+		})
+	}
+	for _, name := range []string{"", "slack", "tns", "wire"} {
+		if err := scenario.CheckObjective(name); err != nil {
+			t.Errorf("CheckObjective(%q) = %v", name, err)
+		}
 	}
 }
 

@@ -149,27 +149,6 @@ func (t *JSONLTracer) Err() error {
 	return t.err
 }
 
-// LockedWriter serializes Write calls onto a shared sink. Wrap a writer
-// in one when several concurrent flows must share it (stderr, a common
-// log file): each Context.Logf line and JSONLTracer record arrives as a
-// single Write, so the lock is sufficient for whole-line interleaving.
-// Per-job writer ownership remains the preferred arrangement; this is
-// the fallback for genuinely shared sinks.
-type LockedWriter struct {
-	mu sync.Mutex
-	w  io.Writer
-}
-
-// NewLockedWriter wraps w so concurrent writers interleave whole calls.
-func NewLockedWriter(w io.Writer) *LockedWriter { return &LockedWriter{w: w} }
-
-// Write forwards to the underlying writer under the lock.
-func (l *LockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.w.Write(p)
-}
-
 // MultiTracer fans events out to several tracers.
 type MultiTracer []Tracer
 

@@ -44,7 +44,8 @@ type SubmitRequest struct {
 	// race_verdict record, and finally the job's own terminal flow_end.
 	// Scenario becomes the default script for entrants that set none.
 	Entrants []RaceEntrant `json:"entrants,omitempty"`
-	// Objective is the race objective: "slack" (default), "tns", "wire".
+	// Objective is the race objective, named as in a scenario's
+	// `set objective` (default slack).
 	Objective string `json:"objective,omitempty"`
 	// DeadlineSec caps the race's wall clock (0 = none).
 	DeadlineSec float64 `json:"deadline_sec,omitempty"`
@@ -65,7 +66,8 @@ type AutotuneRequest struct {
 	// Scenario is the base script to mutate (default: the request's
 	// Scenario field).
 	Scenario string `json:"scenario,omitempty"`
-	// Objective is the search objective: "slack" (default), "tns", "wire".
+	// Objective is the search objective, named as in a scenario's
+	// `set objective` (default slack).
 	Objective string `json:"objective,omitempty"`
 	// Population (µ), Offspring (λ), Generations, and Stall shape the
 	// evolutionary loop; see autoflow.Spec.

@@ -162,6 +162,11 @@ func TestAutotuneSubmitValidation(t *testing.T) {
 		with(func(r *serve.SubmitRequest) {
 			r.Autotune.Params = []scenario.ParamDomain{{Key: "x", Kind: scenario.ParamEnum}}
 		}),
+		// Two domains for one parameter key.
+		with(func(r *serve.SubmitRequest) {
+			d := scenario.ParamDomain{Key: "budget", Kind: scenario.ParamInt, Lo: 1, Hi: 2}
+			r.Autotune.Params = []scenario.ParamDomain{d, d}
+		}),
 	}
 	for i, req := range bad {
 		resp, _ := submit(t, base, req)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tps/internal/portfolio"
 	"tps/internal/scenario"
 	"tps/internal/serve"
 )
@@ -236,6 +237,12 @@ func TestRaceSubmitValidation(t *testing.T) {
 		func() serve.SubmitRequest {
 			r := raceRequest(2, quickScript)
 			r.Netlist, r.DeadlineSec = nl, -1
+			return r
+		}(),
+		// More entrants than a race allows.
+		func() serve.SubmitRequest {
+			r := raceRequest(portfolio.MaxEntrants+1, quickScript)
+			r.Netlist = nl
 			return r
 		}(),
 	}

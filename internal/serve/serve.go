@@ -303,44 +303,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: j.ID, State: JobQueued})
 }
 
-// raceSpecFromRequest validates a race submission and builds the
-// portfolio spec the job will run. Per-run fields (Name, Workers,
-// Trace) are filled in at execution time.
+// raceSpecFromRequest copies a race submission into the portfolio spec
+// the job will run and validates it, so a bad race fails at submit.
+// Per-run fields (Name, Workers, Trace) are filled in at execution time.
 func raceSpecFromRequest(req *SubmitRequest) (*portfolio.Spec, error) {
-	if len(req.Entrants) > portfolio.MaxEntrants {
-		return nil, fmt.Errorf("%d entrants exceeds the limit of %d", len(req.Entrants), portfolio.MaxEntrants)
-	}
-	switch req.Objective {
-	case "", "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("unknown objective %q (want slack, tns, or wire)", req.Objective)
-	}
-	if req.DeadlineSec < 0 {
-		return nil, fmt.Errorf("negative deadline_sec")
-	}
 	spec := &portfolio.Spec{
 		Objective: req.Objective,
 		Deadline:  time.Duration(req.DeadlineSec * float64(time.Second)),
 	}
-	names := make(map[string]int, len(req.Entrants))
 	for i, e := range req.Entrants {
-		name := e.Name
-		if name == "" {
-			name = fmt.Sprintf("e%d", i)
-		}
-		if prev, dup := names[name]; dup {
-			return nil, fmt.Errorf("entrants %d and %d share the name %q", prev, i, name)
-		}
-		names[name] = i
 		text := e.Scenario
 		if text == "" {
 			text = req.Scenario
-		}
-		if text == "" {
-			return nil, fmt.Errorf("entrant %q has no scenario and the request sets no default", name)
-		}
-		if _, err := scenario.Parse(text); err != nil {
-			return nil, fmt.Errorf("entrant %q: %s", name, err.Error())
 		}
 		seed := e.Seed
 		if seed == 0 {
@@ -351,73 +325,38 @@ func raceSpecFromRequest(req *SubmitRequest) (*portfolio.Spec, error) {
 			Bound: e.Bound, Params: e.Params,
 		})
 	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
-// autotuneSpecFromRequest validates an autotune submission and builds
-// the search spec the job will run. Per-run fields (Name, Workers,
-// Trace) are filled in at execution time. Validation here mirrors what
-// the search itself enforces so a bad spec fails at submit, not after
-// queueing.
+// autotuneSpecFromRequest copies an autotune submission into the search
+// spec the job will run and validates it, so a bad search fails at
+// submit, not after queueing. Per-run fields (Name, Workers, Trace) are
+// filled in at execution time.
 func autotuneSpecFromRequest(req *SubmitRequest, defaultSeed int64) (*autoflow.Spec, error) {
 	a := req.Autotune
-	base := a.Scenario
-	if base == "" {
-		base = req.Scenario
-	}
-	if base == "" {
-		return nil, fmt.Errorf("autotune needs a base scenario (autotune.scenario or the request's)")
-	}
-	if _, err := scenario.Parse(base); err != nil {
-		return nil, fmt.Errorf("autotune base scenario: %s", err.Error())
-	}
-	switch a.Objective {
-	case "", "slack", "tns", "wire":
-	default:
-		return nil, fmt.Errorf("unknown objective %q (want slack, tns, or wire)", a.Objective)
-	}
-	if a.DeadlineSec < 0 {
-		return nil, fmt.Errorf("negative deadline_sec")
-	}
-	if a.Offspring+1 > portfolio.MaxEntrants {
-		return nil, fmt.Errorf("offspring %d exceeds the race limit of %d entrants", a.Offspring, portfolio.MaxEntrants-1)
-	}
-	for _, name := range a.Freeze {
-		if scenario.Lookup(name) == nil {
-			return nil, fmt.Errorf("freeze names unknown transform %q", name)
-		}
-	}
-	for _, name := range a.Insert {
-		if scenario.Lookup(name) == nil {
-			return nil, fmt.Errorf("insert names unknown transform %q", name)
-		}
-	}
-	for _, d := range a.Params {
-		if !d.Valid() {
-			return nil, fmt.Errorf("bad param domain %q", d.Key)
-		}
-	}
-	seed := a.Seed
-	if seed == 0 {
-		seed = defaultSeed
-	}
 	spec := &autoflow.Spec{
-		Script:      base,
+		Script:      a.Scenario,
 		Objective:   a.Objective,
 		Population:  a.Population,
 		Offspring:   a.Offspring,
 		Generations: a.Generations,
 		Stall:       a.Stall,
-		Seed:        seed,
+		Seed:        a.Seed,
 		Deadline:    time.Duration(a.DeadlineSec * float64(time.Second)),
 		Freeze:      a.Freeze,
 		Insert:      a.Insert,
 		Params:      a.Params,
 	}
+	if spec.Script == "" {
+		spec.Script = req.Scenario
+	}
+	if spec.Seed == 0 {
+		spec.Seed = defaultSeed
+	}
 	if a.Weights != nil {
 		spec.Weights = *a.Weights
 	}
-	return spec, nil
+	return spec, spec.Validate()
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

@@ -16,6 +16,7 @@ import (
 	"tps/internal/cell"
 	"tps/internal/gen"
 	"tps/internal/netio"
+	"tps/internal/par"
 	"tps/internal/scenario"
 	"tps/internal/serve"
 
@@ -44,6 +45,17 @@ func init() {
 		Name: "boom", Doc: "test: panic mid-flow",
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
 			panic("deliberate job panic")
+		},
+	})
+	scenario.Register(scenario.Transform{
+		Name: "boom_worker", Doc: "test: panic on a par worker goroutine",
+		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
+			par.For(4, 4*64, func(chunk, _, _ int) {
+				if chunk == 3 {
+					panic("deliberate job panic")
+				}
+			})
+			return scenario.Report{}, nil
 		},
 	})
 }
@@ -88,6 +100,15 @@ scenario boom
 init {
   qplace
   boom
+}
+`
+
+// boomWorkerScript panics on a goroutine a transform forked through par.
+const boomWorkerScript = `
+scenario boom_worker
+init {
+  qplace
+  boom_worker
 }
 `
 
@@ -522,8 +543,8 @@ var _ = fmt.Sprintf // keep fmt for debug edits
 
 // A panicking transform fails its own job — state failed, the panic
 // value and stack in the job error and in the terminal flow_end — for a
-// plain job and a race alike, and the single worker goes on to run the
-// next job to completion.
+// plain job, a panic on a par worker goroutine and a race alike, and the
+// single worker goes on to run the next job to completion.
 func TestPanickingJobFailsAlone(t *testing.T) {
 	_, hs := newServer(t, serve.Config{Concurrency: 1})
 	base := hs.URL
@@ -531,20 +552,22 @@ func TestPanickingJobFailsAlone(t *testing.T) {
 		return strings.Contains(s, "panic: deliberate job panic") && strings.Contains(s, "goroutine ")
 	}
 
-	_, sub := submit(t, base, serve.SubmitRequest{Netlist: tpnText(t, 41), Scenario: boomScript})
-	info := waitState(t, base, sub.JobID, serve.JobFailed, serve.JobDone, serve.JobCanceled)
-	if info.State != serve.JobFailed || !hasPanic(info.Error) {
-		t.Fatalf("panicking job: state %s error %q, want failed with panic value and stack", info.State, info.Error)
-	}
-	evs := readTrace(t, base, sub.JobID)
-	if end := evs[len(evs)-1]; end.Type != scenario.EvFlowEnd || !hasPanic(end.Err) {
-		t.Fatalf("terminal event = %+v, want flow_end carrying the panic", end)
+	for i, script := range []string{boomScript, boomWorkerScript} {
+		_, sub := submit(t, base, serve.SubmitRequest{Netlist: tpnText(t, 41), Scenario: script})
+		info := waitState(t, base, sub.JobID, serve.JobFailed, serve.JobDone, serve.JobCanceled)
+		if info.State != serve.JobFailed || !hasPanic(info.Error) {
+			t.Fatalf("panicking job %d: state %s error %q, want failed with panic value and stack", i, info.State, info.Error)
+		}
+		evs := readTrace(t, base, sub.JobID)
+		if end := evs[len(evs)-1]; end.Type != scenario.EvFlowEnd || !hasPanic(end.Err) {
+			t.Fatalf("job %d terminal event = %+v, want flow_end carrying the panic", i, end)
+		}
 	}
 
 	req := raceRequest(2, boomScript)
 	req.Netlist = tpnText(t, 42)
-	_, sub = submit(t, base, req)
-	info = waitState(t, base, sub.JobID, serve.JobFailed, serve.JobDone, serve.JobCanceled)
+	_, sub := submit(t, base, req)
+	info := waitState(t, base, sub.JobID, serve.JobFailed, serve.JobDone, serve.JobCanceled)
 	if info.State != serve.JobFailed || info.Race == nil {
 		t.Fatalf("panicking race: state %s race %+v, want failed with a race report", info.State, info.Race)
 	}

@@ -399,16 +399,3 @@ func (c *Cache) GateAdded(*netlist.Gate) {}
 
 // GateRemoved implements netlist.Observer.
 func (c *Cache) GateRemoved(*netlist.Gate) {}
-
-// NetlistCompacted implements netlist.CompactObserver: every net ID was
-// reassigned, so all ID-indexed state — trees, dirty flags, summation
-// leaves — is dropped and the next aggregate query rebuilds from scratch
-// at the compacted capacity.
-func (c *Cache) NetlistCompacted() {
-	c.trees = c.trees[:0]
-	c.tvalid = c.tvalid[:0]
-	c.isDirty = c.isDirty[:0]
-	c.dirty = c.dirty[:0]
-	c.allDirty = true
-	c.primed = false
-}

@@ -1160,27 +1160,6 @@ func (e *Engine) GateRemoved(g *netlist.Gate) {
 	}
 }
 
-// NetlistCompacted implements netlist.CompactObserver: pin IDs were
-// reassigned, so every pin-indexed array and pending queue is dropped and
-// the next query relevels and recomputes from scratch.
-func (e *Engine) NetlistCompacted() {
-	e.arr = nil
-	e.req = nil
-	e.late = nil
-	e.level = nil
-	e.outPin = nil
-	e.flags = nil
-	e.pinOf = nil
-	e.inPendArr = nil
-	e.inPendReq = nil
-	e.pendArr = e.pendArr[:0]
-	e.pendReq = e.pendReq[:0]
-	e.endpoints = e.endpoints[:0]
-	e.begins = e.begins[:0]
-	e.levelsValid = false
-	e.allDirty = true
-}
-
 // ---- small helpers ----
 
 // The grow helpers extend pin-indexed arrays with amortized doubling:
