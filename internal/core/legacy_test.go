@@ -153,7 +153,7 @@ func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
 	place.Legalize(c.NL, c.ChipW, c.ChipH)
 	stop()
 	stop = c.Track("detailed")
-	place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt, nil)
+	place.DetailedPlace(c.NL, c.ChipW, c.ChipH, dopt)
 	stop()
 	syncImageLegacy(c)
 
@@ -176,7 +176,7 @@ func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
 		place.Legalize(c.NL, c.ChipW, c.ChipH)
 		stop()
 		stop = c.Track("detailed")
-		place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt, nil)
+		place.DetailedPlace(c.NL, c.ChipW, c.ChipH, dopt)
 		stop()
 		sizing.InFootprintResize(c.NL, c.Eng, 0.08*c.Period, nil)
 		so.PinSwap(budget)
@@ -274,7 +274,7 @@ func runSPRLegacy(c *Context, opt SPROptions) Metrics {
 	dopt := place.DefaultDetailedOptions()
 	dopt.Workers = c.Workers
 	stop = c.Track("detailed")
-	place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt, nil)
+	place.DetailedPlace(c.NL, c.ChipW, c.ChipH, dopt)
 	stop()
 
 	m := c.Evaluate("SPR")

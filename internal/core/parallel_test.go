@@ -101,7 +101,7 @@ func transformTrace(t *testing.T, workers int) []float64 {
 	place.Legalize(c.NL, c.ChipW, c.ChipH)
 	dopt := place.DefaultDetailedOptions()
 	dopt.Workers = c.Workers
-	place.DetailedPlace(c.NL, c.St, c.ChipW, c.ChipH, dopt, nil)
+	place.DetailedPlace(c.NL, c.ChipW, c.ChipH, dopt)
 	probe()
 	return trace
 }

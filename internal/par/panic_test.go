@@ -73,3 +73,31 @@ func TestWorkerPanicReachesCaller(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupInlinePanicJoinsSpawned: a panic in a task Spawn runs inline
+// is held like a spawned task's, so Spawn returns normally and Wait
+// re-raises the inline value only after the spawned task has finished.
+func TestGroupInlinePanicJoinsSpawned(t *testing.T) {
+	g := NewGroup(2)
+	release := make(chan struct{})
+	var finished atomic.Bool
+	g.Spawn(func() { // takes the Group's one helper slot
+		<-release
+		finished.Store(true)
+	})
+	// No slot is free, so this task runs inline.
+	if v := recovered(func() { g.Spawn(func() { panic("inline boom") }) }); v != nil {
+		t.Fatalf("inline panic escaped Spawn: %v", v)
+	}
+	time.AfterFunc(20*time.Millisecond, func() { close(release) })
+	v := recovered(g.Wait)
+	if v == nil {
+		t.Fatal("Wait did not re-raise the inline panic")
+	}
+	if !finished.Load() {
+		t.Fatal("Wait panicked before the spawned task finished")
+	}
+	if msg := fmt.Sprint(v); !strings.Contains(msg, "inline boom") {
+		t.Fatalf("panic value %q lost the inline value", msg)
+	}
+}

@@ -8,10 +8,10 @@
 // slots of a result slice, and all floating-point reductions happen
 // serially in index order after the fan-out completes.
 //
-// A panic on a goroutine this package forks is recovered there and
-// raised again on the forking goroutine once every worker has joined, so
-// the caller's own recover (a tpsd job's, a race entrant's) sees it
-// instead of the process dying.
+// A panic on a goroutine this package forks, or in a Group task run
+// inline, is recovered there and raised again on the forking goroutine
+// once every worker has joined, so the caller's own recover (a tpsd
+// job's, a race entrant's) sees it instead of the process dying.
 package par
 
 import (
@@ -167,36 +167,40 @@ func NewGroup(workers int) *Group {
 }
 
 // Spawn schedules task; it may run concurrently or inline. Call Wait before
-// using any state the spawned tasks write.
+// using any state the spawned tasks write. A panic in a task, inline or
+// not, is held for Wait, so Spawn returns normally either way.
 func (g *Group) Spawn(task func()) {
+	g.j.wg.Add(1)
 	select {
 	case g.sem <- struct{}{}:
-		g.j.wg.Add(1)
 		go func() {
 			defer g.j.done()
 			defer func() { <-g.sem }()
 			task()
 		}()
 	default:
-		task()
+		func() {
+			defer g.j.done()
+			task()
+		}()
 	}
 }
 
-// Wait blocks until every spawned task has finished, then re-raises the
-// first panic a spawned task raised.
+// Wait blocks until every task has finished, then re-raises the first
+// panic a task raised.
 func (g *Group) Wait() { g.j.wait() }
 
 // join is the barrier behind For, ForEach and Group: it waits for the
-// goroutines they fork and carries the first panic among them back to
-// the forking goroutine.
+// goroutines they fork (and a Group's inline tasks) and carries the first
+// panic among them back to the forking goroutine.
 type join struct {
 	wg sync.WaitGroup
 	mu sync.Mutex
 	p  *workerPanic
 }
 
-// done marks one forked goroutine finished. Each forked goroutine defers
-// it directly, so its recover catches that goroutine's panic.
+// done marks one forked goroutine or inline task finished. Each defers it
+// directly, so its recover catches that task's panic.
 func (j *join) done() {
 	if v := recover(); v != nil {
 		p := &workerPanic{value: v, stack: debug.Stack()}

@@ -1,8 +1,11 @@
 package place
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"tps/internal/netlist"
@@ -142,17 +145,17 @@ type DetailedOptions struct {
 	// advantage and serialize all rows. Zero-weight nets are likewise
 	// skipped (their contribution is exactly zero either way).
 	MaxScoreNetPins int
-	// Workers bounds how many non-conflicting rows optimize concurrently
-	// (default-objective path only; a custom score hook runs serially).
+	// Workers bounds how many non-conflicting rows optimize concurrently.
 	// Rows are colored so same-color rows share no scored net, color
 	// classes run in ascending order, and gate moves ride a netlist move
 	// batch — results are identical at any worker count.
 	Workers int
-	// fullRescore disables the per-net contribution cache and recomputes
-	// every affected net from scratch on both sides of each candidate
-	// move. It is the reference evaluator the equivalence tests compare
-	// the delta scorer against; decisions are identical by construction
-	// whenever the cache is correct.
+	// fullRescore disables the per-net contribution cache and the
+	// fixed-pin boxes, and recomputes every affected net from all its
+	// pins on both sides of each candidate move. It is the reference
+	// evaluator the equivalence tests compare the delta scorer against;
+	// decisions are identical by construction whenever the cache and the
+	// boxes are correct.
 	fullRescore bool
 }
 
@@ -163,11 +166,10 @@ func DefaultDetailedOptions() DetailedOptions {
 
 // DetailedPlace is Algorithm DetailedPlaceOpt: a window slides across each
 // row; within the window every pair swap and every permutation of small
-// sub-groups is scored (weighted Steiner length of the affected nets) and
-// the best improving move is kept, followed by in-row relegalization.
-// The score hook lets callers add timing/area terms to the paper's
-// "timing, noise and area objectives".
-func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64, opt DetailedOptions, score func() float64) int {
+// sub-groups is scored (weighted HPWL of the affected nets) and the best
+// improving move is kept, followed by in-row relegalization. It returns
+// the number of accepted moves.
+func DetailedPlace(nl *netlist.Netlist, chipW, chipH float64, opt DetailedOptions) int {
 	if opt.WindowSize <= 1 {
 		opt.WindowSize = 20
 	}
@@ -205,7 +207,7 @@ func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64,
 			if end > len(row) {
 				end = len(row)
 			}
-			acc += optimizeWindow(nl, st, row[start:end], opt, score, &sc)
+			acc += optimizeWindow(nl, row[start:end], opt, &sc)
 			if end == len(row) {
 				break
 			}
@@ -213,25 +215,13 @@ func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64,
 		return acc
 	}
 
-	accepted := 0
-	if score != nil {
-		// Custom-objective path: the hook may query analyzers, which need
-		// to hear every move as it happens — serial, no batch.
-		for pass := 0; pass < opt.Passes; pass++ {
-			for _, r := range rowIDs {
-				accepted += runRow(rows[r])
-			}
-		}
-		return accepted
-	}
-
-	// Default-objective path: swaps stay within their row, so rows are the
-	// parallel unit. Rows coupled by a scored net must not run together
-	// (one's scorer reads positions the other writes); color the conflict
-	// graph and run each color class's rows concurrently, classes in
-	// ascending order. Gates never change rows, so one coloring serves all
-	// passes. The move batch defers observer notification to a single
-	// ID-ordered replay, identical at every worker count.
+	// Swaps stay within their row, so rows are the parallel unit. Rows
+	// coupled by a scored net must not run together (one's scorer reads
+	// positions the other writes); color the conflict graph and run each
+	// color class's rows concurrently, classes in ascending order. Gates
+	// never change rows, so one coloring serves all passes. The move
+	// batch defers observer notification to a single ID-ordered replay,
+	// identical at every worker count.
 	gateRow := make([]int32, nl.GateCap())
 	for i := range gateRow {
 		gateRow[i] = -1
@@ -264,6 +254,7 @@ func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64,
 		}
 	}
 	nl.EndMoveBatch()
+	accepted := 0
 	for _, a := range rowAcc {
 		accepted += a
 	}
@@ -272,33 +263,45 @@ func DetailedPlace(nl *netlist.Netlist, st *steiner.Cache, chipW, chipH float64,
 
 // windowScorer delta-evaluates candidate moves inside one window. It
 // caches each window net's contribution (weight · HPWL) and, per
-// candidate, re-evaluates only the nets touching the gates that actually
-// moved — eliminating the O(windowNets·pins) scan per candidate that full
-// rescoring pays. Cached contributions are maintained bit-identical to a
-// fresh recomputation: every accepted or position-perturbing move commits
-// freshly computed values, and sums always run over the affected nets in
-// ascending net ID order, so delta and full-rescore evaluation take
-// exactly the same accept/reject decisions.
+// candidate, re-evaluates only the nets touching the gates that moved.
+//
+// reset precomputes two things per window. Each build-time slot gets a
+// bitset over the window's net indices, so a span's affected set is the
+// OR of its gates' bitsets, listed in ascending index order — which is
+// ascending net ID order. Each net gets a fixed-pin box: the x-range of
+// its pins on gates outside the window, and its y-extent over all pins.
+// While a window is optimized only its own gates move on its scored nets
+// (windows of a row run in turn, and rows of one color class share no
+// scored net), and they move only along x. So a net's HPWL is its box
+// extended by the current X of its window gates: the same minima and
+// maxima steiner.HPWL finds over every pin, exact in floating point.
+//
+// Every accepted or position-perturbing move commits freshly computed
+// values, and sums always run over the affected nets in ascending net ID
+// order, so the delta scorer and the fullRescore reference take exactly
+// the same accept/reject decisions.
 type windowScorer struct {
-	nets     []*netlist.Net // window nets in ascending ID order
-	contrib  []float64      // cached weight·HPWL, parallel to nets
-	gateSlot map[int]int32  // gate ID → build-time window slot
-	gateOff  []int32        // CSR: slot → [gateOff[s], gateOff[s+1]) in gateIdx
-	gateIdx  []int32        // concatenated per-slot net indices
-	mark     []int          // epoch stamps for affected-set dedup
-	epoch    int
-	aff      []int32 // scratch: affected net indices, ascending
+	nets    []*netlist.Net // window nets in ascending ID order
+	contrib []float64      // cached weight·HPWL, parallel to nets
+	// Fixed-pin boxes, parallel to nets: the x-range of the pins on
+	// gates outside the window, and maxY − minY over all pins.
+	fixLo, fixHi, dy []float64
+
+	winOff   []int32         // CSR: net k → [winOff[k], winOff[k+1]) in winGate
+	winGate  []*netlist.Gate // the window gate of each window pin
+	gateSlot map[int]int32   // gate ID → build-time window slot
+	words    int             // bitset words per slot
+	slotNets []uint64        // slot s's nets: slotNets[s*words:(s+1)*words]
+	acc      []uint64        // scratch: OR of a span's bitsets
+	aff      []int32         // scratch: affected net indices, ascending
 	newVals  []float64
-	posBuf   []float64 // scratch: span gate positions before a trial
-	pts      []steiner.Point
-	fresh    bool // reference mode: ignore the cache on the before side
+	posBuf   []float64       // scratch: span gate positions before a trial
+	pts      []steiner.Point // scratch: reference-mode pin list
+	fresh    bool            // reference mode: every score from all pins, no cache
 
 	// permutation scratch (tryPermuteDelta)
 	group, best []*netlist.Gate
 	perm        []int
-
-	order, inv []int32        // net-ID-sort scratch
-	sorted     []*netlist.Net // net-ID-sort scratch
 }
 
 func newWindowScorer(win []*netlist.Gate, opt DetailedOptions) *windowScorer {
@@ -311,9 +314,6 @@ func newWindowScorer(win []*netlist.Gate, opt DetailedOptions) *windowScorer {
 // and map from the previous window on this scorer.
 func (s *windowScorer) reset(win []*netlist.Gate, opt DetailedOptions) {
 	s.fresh = opt.fullRescore
-	s.nets = s.nets[:0]
-	s.gateIdx = s.gateIdx[:0]
-	s.gateOff = append(s.gateOff[:0], 0)
 	if s.gateSlot == nil {
 		s.gateSlot = make(map[int]int32, len(win))
 	} else {
@@ -323,9 +323,9 @@ func (s *windowScorer) reset(win []*netlist.Gate, opt DetailedOptions) {
 	if maxPins < 2 {
 		maxPins = 64
 	}
+	s.nets = s.nets[:0]
 	for slot, g := range win {
 		s.gateSlot[g.ID] = int32(slot)
-		rowStart := len(s.gateIdx)
 		for _, p := range g.Pins {
 			n := p.Net
 			if n == nil || n.Weight <= 0 {
@@ -334,100 +334,87 @@ func (s *windowScorer) reset(win []*netlist.Gate, opt DetailedOptions) {
 			if np := len(n.Pins()); np < 2 || np > maxPins {
 				continue
 			}
-			// Net index: nets are few per window, linear scan beats a map.
-			idx := int32(-1)
-			for k, m := range s.nets {
-				if m == n {
-					idx = int32(k)
-					break
-				}
-			}
-			if idx < 0 {
-				idx = int32(len(s.nets))
-				s.nets = append(s.nets, n)
-			}
-			dup := false
-			for _, x := range s.gateIdx[rowStart:] {
-				if x == idx {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				s.gateIdx = append(s.gateIdx, idx)
+			s.nets = append(s.nets, n)
+		}
+	}
+	// Ascending net ID order fixes the summation order.
+	slices.SortFunc(s.nets, func(a, b *netlist.Net) int { return cmp.Compare(a.ID, b.ID) })
+	s.nets = slices.Compact(s.nets)
+
+	nn := len(s.nets)
+	s.words = (nn + 63) / 64
+	s.slotNets = grow(s.slotNets, len(win)*s.words)
+	clear(s.slotNets)
+	s.acc = grow(s.acc, s.words)
+	s.fixLo, s.fixHi, s.dy = grow(s.fixLo, nn), grow(s.fixHi, nn), grow(s.dy, nn)
+	s.winOff = append(s.winOff[:0], 0)
+	s.winGate = s.winGate[:0]
+	for k, n := range s.nets {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		minY, maxY := math.Inf(1), math.Inf(-1)
+		for _, p := range n.Pins() {
+			minY, maxY = math.Min(minY, p.Y()), math.Max(maxY, p.Y())
+			if slot, ok := s.gateSlot[p.Gate.ID]; ok {
+				s.winGate = append(s.winGate, p.Gate)
+				s.slotNets[int(slot)*s.words+k/64] |= 1 << (k % 64)
+			} else {
+				lo, hi = math.Min(lo, p.X()), math.Max(hi, p.X())
 			}
 		}
-		s.gateOff = append(s.gateOff, int32(len(s.gateIdx)))
+		s.fixLo[k], s.fixHi[k], s.dy[k] = lo, hi, maxY-minY
+		s.winOff = append(s.winOff, int32(len(s.winGate)))
 	}
-	// Ascending net ID order fixes the summation order; remap per-gate
-	// index lists to the sorted positions.
-	s.order = s.order[:0]
-	for i := range s.nets {
-		s.order = append(s.order, int32(i))
-	}
-	sort.Slice(s.order, func(a, b int) bool { return s.nets[s.order[a]].ID < s.nets[s.order[b]].ID })
-	s.inv = grow32(s.inv, len(s.nets))
-	s.sorted = s.sorted[:0]
-	for newIdx, oldIdx := range s.order {
-		s.inv[oldIdx] = int32(newIdx)
-		s.sorted = append(s.sorted, s.nets[oldIdx])
-	}
-	s.nets, s.sorted = s.sorted, s.nets[:0]
-	for k, x := range s.gateIdx {
-		s.gateIdx[k] = s.inv[x]
-	}
-	s.contrib = growF(s.contrib, len(s.nets))
-	s.newVals = growF(s.newVals, len(s.nets))
-	s.mark = s.mark[:0]
-	for range s.nets {
-		s.mark = append(s.mark, 0)
-	}
-	s.epoch = 0
-	for i := range s.nets {
-		s.contrib[i] = s.netScore(i)
+	s.contrib = grow(s.contrib, nn)
+	s.newVals = grow(s.newVals, nn)
+	for k := range s.nets {
+		s.contrib[k] = s.netScore(k)
 	}
 }
 
-func grow32(s []int32, n int) []int32 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
 
-func growF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+// netScore computes weight · HPWL of window net k: its fixed-pin box
+// extended by the current X of its window gates, or, in reference mode,
+// steiner.HPWL over every pin.
+func (s *windowScorer) netScore(k int) float64 {
+	n := s.nets[k]
+	if s.fresh {
+		s.pts = s.pts[:0]
+		for _, p := range n.Pins() {
+			s.pts = append(s.pts, steiner.Point{X: p.X(), Y: p.Y()})
+		}
+		return n.Weight * steiner.HPWL(s.pts)
 	}
-	return s[:n]
-}
-
-// netScore freshly computes weight · HPWL of window net idx.
-func (s *windowScorer) netScore(idx int) float64 {
-	n := s.nets[idx]
-	s.pts = s.pts[:0]
-	for _, p := range n.Pins() {
-		s.pts = append(s.pts, steiner.Point{X: p.X(), Y: p.Y()})
+	minX, maxX := s.fixLo[k], s.fixHi[k]
+	for _, g := range s.winGate[s.winOff[k]:s.winOff[k+1]] {
+		minX, maxX = math.Min(minX, g.X), math.Max(maxX, g.X)
 	}
-	return n.Weight * steiner.HPWL(s.pts)
+	return n.Weight * ((maxX - minX) + s.dy[k])
 }
 
 // affected returns the indices (ascending, deduplicated) of the window
 // nets touching any of the given gates. The returned slice is scratch,
 // valid until the next call.
 func (s *windowScorer) affected(gates []*netlist.Gate) []int32 {
-	s.epoch++
-	s.aff = s.aff[:0]
+	acc := s.acc
+	clear(acc)
 	for _, g := range gates {
-		slot := s.gateSlot[g.ID]
-		for _, idx := range s.gateIdx[s.gateOff[slot]:s.gateOff[slot+1]] {
-			if s.mark[idx] != s.epoch {
-				s.mark[idx] = s.epoch
-				s.aff = append(s.aff, idx)
-			}
+		row := s.slotNets[int(s.gateSlot[g.ID])*s.words:][:s.words]
+		for w, x := range row {
+			acc[w] |= x
 		}
 	}
-	sort.Slice(s.aff, func(a, b int) bool { return s.aff[a] < s.aff[b] })
+	s.aff = s.aff[:0]
+	for w, x := range acc {
+		for ; x != 0; x &= x - 1 {
+			s.aff = append(s.aff, int32(w*64+bits.TrailingZeros64(x)))
+		}
+	}
 	return s.aff
 }
 
@@ -496,20 +483,13 @@ func (s *windowScorer) posChanged(gates []*netlist.Gate) bool {
 // optimizeWindow tries pair swaps and small permutations within one
 // window. Gates within a window sit on the same row; swapping exchanges
 // their x-position slots (widths differ, so positions are re-packed from
-// the leftmost edge, which keeps the row legal). The default objective is
-// the weighted HPWL of the affected nets — for single-row swap decisions
-// HPWL ranks moves the same as the Steiner length at a fraction of the
-// cost — evaluated through the delta scorer above.
-func optimizeWindow(nl *netlist.Netlist, st *steiner.Cache, win []*netlist.Gate, opt DetailedOptions, score func() float64, sc *windowScorer) int {
+// the leftmost edge, which keeps the row legal). The objective is the
+// weighted HPWL of the affected nets — for single-row swap decisions HPWL
+// ranks moves the same as the Steiner length at a fraction of the cost —
+// evaluated through the delta scorer above.
+func optimizeWindow(nl *netlist.Netlist, win []*netlist.Gate, opt DetailedOptions, sc *windowScorer) int {
 	if len(win) < 2 {
 		return 0
-	}
-	_ = st
-	if score != nil {
-		return optimizeWindowHook(nl, win, opt, score)
-	}
-	if sc == nil {
-		sc = &windowScorer{}
 	}
 	sc.reset(win, opt)
 
@@ -543,38 +523,6 @@ func optimizeWindow(nl *netlist.Netlist, st *steiner.Cache, win []*netlist.Gate,
 		if k := opt.MaxPermute; k >= 2 && len(win) >= k {
 			for i := 0; i+k <= len(win); i++ {
 				if tryPermuteDelta(nl, win, i, k, sc) {
-					accepted++
-					improved = true
-				}
-			}
-		}
-	}
-	return accepted
-}
-
-// optimizeWindowHook is the generic-objective path: when the caller
-// supplies a score hook (timing/area terms), every candidate re-invokes it
-// — the hook owns whatever incrementality it can offer.
-func optimizeWindowHook(nl *netlist.Netlist, win []*netlist.Gate, opt DetailedOptions, score func() float64) int {
-	accepted := 0
-	improved := true
-	for iter := 0; improved && iter < 3; iter++ {
-		improved = false
-		for i := 0; i < len(win); i++ {
-			for j := i + 1; j < len(win); j++ {
-				before := score()
-				swapSlots(nl, win, i, j)
-				if after := score(); after < before-1e-9 {
-					accepted++
-					improved = true
-				} else {
-					swapSlots(nl, win, i, j) // revert
-				}
-			}
-		}
-		if k := opt.MaxPermute; k >= 2 && len(win) >= k {
-			for i := 0; i+k <= len(win); i++ {
-				if tryPermute(nl, win, i, k, score) {
 					accepted++
 					improved = true
 				}
@@ -649,44 +597,5 @@ func tryPermuteDelta(nl *netlist.Netlist, win []*netlist.Gate, i, k int, sc *win
 	// original order wins (the re-pack squeezes out gaps), so the cache is
 	// refreshed unconditionally.
 	sc.refresh(aff)
-	return bestScore < orig-1e-9
-}
-
-// tryPermute exhaustively reorders win[i:i+k] and keeps the best order.
-func tryPermute(nl *netlist.Netlist, win []*netlist.Gate, i, k int, score func() float64) bool {
-	lo := win[i].X - win[i].Width()/2
-	group := make([]*netlist.Gate, k)
-	copy(group, win[i:i+k])
-	best := append([]*netlist.Gate(nil), group...)
-	bestScore := score()
-	orig := bestScore
-	perm := make([]int, k)
-	for p := range perm {
-		perm[p] = p
-	}
-	var rec func(depth int)
-	rec = func(depth int) {
-		if depth == k {
-			for p, gi := range perm {
-				win[i+p] = group[gi]
-			}
-			repack(nl, win[i:i+k], lo)
-			if s := score(); s < bestScore-1e-9 {
-				bestScore = s
-				for p := range best {
-					best[p] = win[i+p]
-				}
-			}
-			return
-		}
-		for p := depth; p < k; p++ {
-			perm[depth], perm[p] = perm[p], perm[depth]
-			rec(depth + 1)
-			perm[depth], perm[p] = perm[p], perm[depth]
-		}
-	}
-	rec(0)
-	copy(win[i:i+k], best)
-	repack(nl, win[i:i+k], lo)
 	return bestScore < orig-1e-9
 }

@@ -125,20 +125,16 @@ func TestAutotuneWarmDeterministic(t *testing.T) {
 	}
 }
 
-// TestAutotuneSubmitValidation: malformed autotune submissions bounce
-// with 400 before touching the queue.
-func TestAutotuneSubmitValidation(t *testing.T) {
-	_, hs := newServer(t, serve.Config{})
-	base := hs.URL
-	nl := tpnText(t, 61)
-
+// badAutotuneRequests are malformed autotune submissions; nl is a valid
+// inline netlist.
+func badAutotuneRequests(nl string) []serve.SubmitRequest {
 	with := func(mod func(*serve.SubmitRequest)) serve.SubmitRequest {
 		r := autotuneRequest(quickScript)
 		r.Netlist = nl
 		mod(&r)
 		return r
 	}
-	bad := []serve.SubmitRequest{
+	return []serve.SubmitRequest{
 		// A job is a race or a search, not both.
 		with(func(r *serve.SubmitRequest) {
 			r.Entrants = []serve.RaceEntrant{{Name: "e"}}
@@ -168,7 +164,14 @@ func TestAutotuneSubmitValidation(t *testing.T) {
 			r.Autotune.Params = []scenario.ParamDomain{d, d}
 		}),
 	}
-	for i, req := range bad {
+}
+
+// TestAutotuneSubmitValidation: malformed autotune submissions bounce
+// with 400 before touching the queue.
+func TestAutotuneSubmitValidation(t *testing.T) {
+	_, hs := newServer(t, serve.Config{})
+	base := hs.URL
+	for i, req := range badAutotuneRequests(tpnText(t, 61)) {
 		resp, _ := submit(t, base, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %s, want 400", i, resp.Status)

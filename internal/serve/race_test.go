@@ -209,14 +209,10 @@ func TestRaceDrain(t *testing.T) {
 	}
 }
 
-// TestRaceSubmitValidation: malformed race submissions bounce with 400
-// before touching the queue.
-func TestRaceSubmitValidation(t *testing.T) {
-	_, hs := newServer(t, serve.Config{})
-	base := hs.URL
-	nl := tpnText(t, 47)
-
-	bad := []serve.SubmitRequest{
+// badRaceRequests are malformed race submissions; nl is a valid inline
+// netlist.
+func badRaceRequests(nl string) []serve.SubmitRequest {
+	return []serve.SubmitRequest{
 		// Unknown objective.
 		func() serve.SubmitRequest {
 			r := raceRequest(2, quickScript)
@@ -246,7 +242,14 @@ func TestRaceSubmitValidation(t *testing.T) {
 			return r
 		}(),
 	}
-	for i, req := range bad {
+}
+
+// TestRaceSubmitValidation: malformed race submissions bounce with 400
+// before touching the queue.
+func TestRaceSubmitValidation(t *testing.T) {
+	_, hs := newServer(t, serve.Config{})
+	base := hs.URL
+	for i, req := range badRaceRequests(tpnText(t, 47)) {
 		resp, _ := submit(t, base, req)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("case %d: status %s, want 400", i, resp.Status)

@@ -112,7 +112,7 @@ init {
 }
 `
 
-func tpnText(t *testing.T, seed int64) string {
+func tpnText(t testing.TB, seed int64) string {
 	t.Helper()
 	p := gen.Des(1, 0.02)
 	p.Seed = seed
@@ -503,18 +503,23 @@ func TestConcurrentJobs(t *testing.T) {
 	}
 }
 
+// badSubmitRequests are malformed plain submissions; nl is a valid
+// inline netlist.
+func badSubmitRequests(nl string) []serve.SubmitRequest {
+	return []serve.SubmitRequest{
+		{},                      // nothing
+		{Scenario: quickScript}, // no design
+		{Netlist: "bogus", Scenario: quickScript},                         // unparseable netlist
+		{Netlist: nl, Scenario: "scenario x\ninit { no_such_transform }"}, // unknown transform
+		{Design: "ghost", Scenario: quickScript},                          // unknown stored design
+	}
+}
+
 // Malformed submissions are rejected with 400s, not queued.
 func TestSubmitValidation(t *testing.T) {
 	_, hs := newServer(t, serve.Config{})
 	base := hs.URL
-	cases := []serve.SubmitRequest{
-		{},                      // nothing
-		{Scenario: quickScript}, // no design
-		{Netlist: "bogus", Scenario: quickScript},                                    // unparseable netlist
-		{Netlist: tpnText(t, 1), Scenario: "scenario x\ninit { no_such_transform }"}, // unknown transform
-		{Design: "ghost", Scenario: quickScript},                                     // unknown stored design
-	}
-	for i, req := range cases {
+	for i, req := range badSubmitRequests(tpnText(t, 1)) {
 		resp, _ := submit(t, base, req)
 		if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusNotFound {
 			t.Errorf("case %d: status %s, want 400/404", i, resp.Status)

@@ -675,18 +675,20 @@ func (e *Engine) flushAll() {
 	}
 }
 
-// flushArr drains the pending arrival set in (level, ID) order through a
+// flushArr drains the pending arrival set level by level through a
 // monotone bucket queue: one ascending sweep over the per-level worklists,
-// each bucket ID-sorted when the sweep reaches it. Under a valid
-// stratification every propagation pushes strictly upward, so the visit
-// order is exactly the (level, ID)-sorted order a priority queue would
-// produce — at O(1) per push instead of O(log n) level-array comparisons,
-// which dominated the incremental-flush profile at bulk design sizes.
+// at O(1) per push instead of a priority queue's O(log n) level-array
+// comparisons, which dominated the incremental-flush profile at bulk
+// design sizes. Under a valid stratification a pin's arrival reads only
+// lower levels and every propagation pushes strictly upward, so the pins
+// of one bucket are independent: any drain order within a level yields
+// the same values, the same pushes and the same Recomputes (the argument
+// flushAll's parallel levels rest on), and buckets drain unsorted.
 // Cyclic graphs are the one exception (frozen pins keep whatever level the
 // aborted Kahn pass left, so a push can land at or below the sweep
 // cursor); the sweep then rewinds to the pushed level — already-drained
-// entries are skipped by the pend flags — preserving correctness at
-// priority-queue-grade cost.
+// entries are skipped by the pend flags — and each bucket is drained in
+// ID order, preserving correctness at priority-queue-grade cost.
 func (e *Engine) flushArr() {
 	lo := int32(math.MaxInt32)
 	for _, id := range e.pendArr {
@@ -722,7 +724,9 @@ func (e *Engine) flushArr() {
 		if len(b) == 0 {
 			continue
 		}
-		sort.Ints(b)
+		if e.HasCycles {
+			sort.Ints(b)
+		}
 		for _, id := range b {
 			if !e.inPendArr[id] {
 				continue
@@ -805,7 +809,9 @@ func (e *Engine) flushReq() {
 		if len(b) == 0 {
 			continue
 		}
-		sort.Ints(b)
+		if e.HasCycles {
+			sort.Ints(b)
+		}
 		for _, id := range b {
 			if !e.inPendReq[id] {
 				continue
@@ -813,7 +819,7 @@ func (e *Engine) flushReq() {
 			e.inPendReq[id] = false
 			p := e.pinOf[id]
 			v := e.evalReq(p)
-			if math.Abs(v-e.req[id]) <= eps && !(math.IsInf(v, 1) && math.IsInf(e.req[id], 1)) {
+			if e.reqSettled(id, v) {
 				continue
 			}
 			e.req[id] = v
@@ -847,6 +853,16 @@ func (e *Engine) flushReq() {
 		}
 		e.buckets[l] = b[:0]
 	}
+}
+
+// reqSettled reports whether pin id's recomputed required time v leaves
+// its predecessors as they are. A required time that stays +Inf counts as
+// changed (|Inf−Inf| is NaN), except on a cycle-frozen pin: its +Inf
+// never changes, and re-pushing its predecessors would chase a loop of
+// frozen pins forever.
+func (e *Engine) reqSettled(id int, v float64) bool {
+	old := e.req[id]
+	return math.Abs(v-old) <= eps || e.flags[id]&flagOnCycle != 0 && v == old
 }
 
 // ---- queries ----
