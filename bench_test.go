@@ -15,7 +15,6 @@ import (
 
 	"tps/internal/cell"
 	"tps/internal/clockscan"
-	"tps/internal/core"
 	"tps/internal/delay"
 	"tps/internal/gen"
 	"tps/internal/netlist"
@@ -237,7 +236,7 @@ func BenchmarkParallelAnalyzers(b *testing.B) {
 	if widths[1] == 1 {
 		widths = widths[:1]
 	}
-	var base core.Metrics
+	var base Metrics
 	for wi, w := range widths {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
 			d := NewDesign(p)
@@ -257,7 +256,7 @@ func BenchmarkParallelAnalyzers(b *testing.B) {
 			})
 			sizing.DiscretizeActual(c.NL, c.Calc)
 			c.Eng.SetMode(delay.Actual)
-			var m core.Metrics
+			var m Metrics
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				c.Eng.InvalidateAll()
@@ -288,10 +287,10 @@ func BenchmarkParallelAnalyzers(b *testing.B) {
 // TestWorkersBitIdentical on the whole flow.
 func BenchmarkParallelTransforms(b *testing.B) {
 	p := Table1Params(5, BenchScale)
-	var base core.Metrics
+	var base Metrics
 	for wi, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var m core.Metrics
+			var m Metrics
 			for i := 0; i < b.N; i++ {
 				d := NewDesign(p)
 				d.SetWorkers(w)
@@ -544,8 +543,6 @@ func BenchmarkEvaluateOnly(b *testing.B) {
 		_ = d.Context().Evaluate("bench")
 	}
 }
-
-var _ core.Metrics // the alias must reference the real type
 
 // ---- PR 7: portfolio racing ----
 

@@ -3,77 +3,66 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
+	"math"
 	"os"
 
 	"tps"
 	"tps/internal/scenario"
+	"tps/internal/serve"
 )
 
 // runAutotune executes a search locally: snapshot the design once, run
-// the evolutionary loop, report each generation, and print the winning
-// script. The `AUTOTUNE winner=` line is deliberately free of timings so
-// runs at different -workers widths can be diffed verbatim — the same
-// determinism contract the -portfolio output keeps.
-func runAutotune(makeDesign func() (*tps.Design, error), spec *tps.AutotuneSpec, traceFile, out string, verbose bool) error {
-	d, err := makeDesign()
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	cw, ch := d.Chip()
-	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
-		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), cw, ch, d.Period())
+// the evolutionary loop, report each generation, print the search
+// report, and adopt the winner.
+func runAutotune(d *tps.Design, spec *tps.AutotuneSpec, traceFile, out string) error {
 	fmt.Printf("AUTOTUNE search=%s objective=%s population=%d offspring=%d generations=%d\n",
 		spec.Name, orDefault(spec.Objective, scenario.DefaultObjective), spec.Population, spec.Offspring, spec.Generations)
-
-	if verbose {
-		spec.Log = os.Stderr
+	var res *tps.AutotuneResult
+	err := traced(traceFile, func(tr tps.Tracer) (err error) {
+		spec.Trace = tr
+		res, err = d.Autotune(context.Background(), *spec)
+		return err
+	})
+	if res == nil {
+		return err
 	}
-	var tracer tps.Tracer
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
+	for _, g := range res.Gens {
+		restart := ""
+		if g.Restart {
+			restart = " restart"
 		}
-		defer f.Close()
-		tracer = tps.NewJSONLTracer(f)
-		spec.Trace = tracer
+		fmt.Printf("  gen %-3d evaluated=%-3d best=%-6s obj=%g%s\n",
+			g.Gen, g.Evaluated, orDefault(g.Best, "-"), g.BestObjective, restart)
 	}
-
-	res, searchErr := d.Autotune(context.Background(), *spec)
-	if tracer != nil {
-		// The search stream ends with autotune_verdict; append the
-		// tool-level terminal flow_end so every tpsflow trace file closes
-		// the same way.
-		end := tps.TraceEvent{Type: tps.EvFlowEnd}
-		if searchErr != nil {
-			end.Err = searchErr.Error()
-		}
-		tracer.Emit(end)
+	printAutotune(os.Stdout, serve.AutotuneSummary(res))
+	if err != nil || out == "" {
+		return err
 	}
-	if res != nil {
-		for _, g := range res.Gens {
-			restart := ""
-			if g.Restart {
-				restart = " restart"
-			}
-			fmt.Printf("  gen %-3d evaluated=%-3d best=%-6s obj=%g%s\n",
-				g.Gen, g.Evaluated, orDefault(g.Best, "-"), g.BestObjective, restart)
-		}
+	if err := saveDesign(out, tps.Adopt(res.BestDesign)); err != nil {
+		return err
 	}
-	if searchErr != nil {
-		return searchErr
-	}
-
-	fmt.Printf("AUTOTUNE winner=%s obj=%g baseline=%g gens=%d evaluated=%d\n",
-		res.BestName, res.BestObjective, res.BaseObjective, res.Generations, res.Evaluated)
-	fmt.Print(res.BestScript)
-
-	if out != "" {
-		if err := saveDesign(out, tps.Adopt(res.BestDesign)); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (winner %s)\n", out, res.BestName)
-	}
+	fmt.Printf("wrote %s (winner %s)\n", out, res.BestName)
 	return nil
+}
+
+// printAutotune prints a search report, local or fetched from tpsd: if a
+// variant won, the `AUTOTUNE winner=` line and the winning canonical
+// script to out. The line is free of timings, the same determinism
+// contract as the race report's. A missing objective (a failed flow)
+// prints as -Inf, the value the library reports.
+func printAutotune(out io.Writer, a *serve.AutotuneInfo) {
+	if a.Winner == "" {
+		return
+	}
+	fmt.Fprintf(out, "AUTOTUNE winner=%s obj=%g baseline=%g gens=%d evaluated=%d\n",
+		a.Winner, orInf(a.WinnerObjective), orInf(a.BaseObjective), a.Generations, a.Evaluated)
+	fmt.Fprint(out, a.WinnerScript)
+}
+
+func orInf(p *float64) float64 {
+	if p == nil {
+		return math.Inf(-1)
+	}
+	return *p
 }

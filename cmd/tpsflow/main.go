@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,6 +30,8 @@ import (
 	"time"
 
 	"tps"
+	"tps/internal/scenario"
+	"tps/internal/serve"
 )
 
 // main is the only place that may exit the process: every other path
@@ -97,7 +100,14 @@ func run() error {
 		}
 	}
 
-	if *portfolioFile != "" {
+	// Each mode is a job tpsd can run (-submit) and a local run on the
+	// design; the plain flow's local run continues below.
+	var (
+		req   serve.SubmitRequest
+		local func(d *tps.Design) error
+	)
+	switch {
+	case *portfolioFile != "":
 		spec, err := loadSpec(*portfolioFile, tps.ParseRaceSpec)
 		if err != nil {
 			return err
@@ -105,15 +115,14 @@ func run() error {
 		if *workers > 0 {
 			spec.Workers = *workers
 		}
-		if *submit != "" {
-			return runSubmitRace(submitOpts{
-				base: *submit, workers: *workers, makeDesign: makeDesign,
-			}, spec)
+		if *verbose {
+			// Context.Logf emits whole lines in single Write calls, so the
+			// shared stderr interleaves cleanly across entrants.
+			spec.Log = os.Stderr
 		}
-		return runPortfolio(makeDesign, spec, *traceFile, *out, *verbose)
-	}
-
-	if *autotuneFile != "" {
+		req = raceRequest(spec)
+		local = func(d *tps.Design) error { return runPortfolio(d, spec, *traceFile, *out) }
+	case *autotuneFile != "":
 		spec, err := loadSpec(*autotuneFile, tps.ParseAutotuneSpec)
 		if err != nil {
 			return err
@@ -124,19 +133,20 @@ func run() error {
 		if spec.Seed == 0 {
 			spec.Seed = *seed
 		}
-		if *submit != "" {
-			return runSubmitAutotune(submitOpts{
-				base: *submit, workers: *workers, makeDesign: makeDesign,
-			}, spec)
+		if *verbose {
+			spec.Log = os.Stderr
 		}
-		return runAutotune(makeDesign, spec, *traceFile, *out, *verbose)
+		req = autotuneRequest(spec)
+		local = func(d *tps.Design) error { return runAutotune(d, spec, *traceFile, *out) }
+	case *submit != "":
+		text, err := flowResolver("")(*flow, *scenarioFile)
+		if err != nil {
+			return err
+		}
+		req = serve.SubmitRequest{Scenario: text, Seed: *seed}
 	}
-
 	if *submit != "" {
-		return runSubmit(submitOpts{
-			base: *submit, flow: *flow, scenarioFile: *scenarioFile,
-			workers: *workers, seed: *seed, makeDesign: makeDesign,
-		})
+		return submitJob(*submit, *workers, makeDesign, req)
 	}
 
 	d, err := makeDesign()
@@ -144,16 +154,18 @@ func run() error {
 		return err
 	}
 	defer d.Close()
+	w, h := d.Chip()
+	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
+		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), w, h, d.Period())
+	if local != nil {
+		return local(d)
+	}
 	if *verbose {
 		d.SetLog(os.Stderr)
 	}
 	if *workers > 0 {
 		d.SetWorkers(*workers)
 	}
-
-	w, h := d.Chip()
-	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
-		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), w, h, d.Period())
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -165,20 +177,6 @@ func run() error {
 			return err
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	// The tracer is attached before the flow and receives the terminal
-	// flow_end record on every exit path — success or failure — before
-	// the deferred file close flushes it.
-	var tracer tps.Tracer
-	if *traceFile != "" {
-		f, err := os.Create(*traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tracer = tps.NewJSONLTracer(f)
-		d.SetTrace(tracer)
 	}
 
 	runFlow := func(d *tps.Design) (tps.Metrics, error) {
@@ -194,16 +192,14 @@ func run() error {
 		}
 	}
 
-	m, flowErr := runFlow(d)
-	if tracer != nil {
-		end := tps.TraceEvent{Type: tps.EvFlowEnd}
-		if flowErr != nil {
-			end.Err = flowErr.Error()
-		}
-		tracer.Emit(end)
-	}
-	if flowErr != nil {
-		return flowErr
+	var m tps.Metrics
+	err = traced(*traceFile, func(tr tps.Tracer) (err error) {
+		d.SetTrace(tr)
+		m, err = runFlow(d)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 
 	fmt.Printf("%-4s slack=%.0fps cycle=%.0fps area=%.0fµm² icells=%d\n",
@@ -318,6 +314,29 @@ func saveDesign(path string, d *tps.Design) error {
 		return err
 	}
 	return f.Close()
+}
+
+// traced runs one local mode with the -trace file attached (run gets a
+// nil tracer without -trace) and appends the tool-level terminal
+// flow_end record, with run's error if any, so every tpsflow trace file
+// closes the same way whatever the mode's own stream ends with. A trace
+// that could not be written or closed fails the command too.
+func traced(path string, run func(tr tps.Tracer) error) error {
+	if path == "" {
+		return run(nil)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	tr := scenario.NewJSONLTracer(f)
+	runErr := run(tr)
+	end := tps.TraceEvent{Type: tps.EvFlowEnd}
+	if runErr != nil {
+		end.Err = runErr.Error()
+	}
+	tr.Emit(end)
+	return errors.Join(runErr, tr.Err(), f.Close())
 }
 
 // printPhases prints per-transform wall clock, and speedups against a

@@ -2,12 +2,18 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"tps"
+	"tps/internal/serve"
 )
 
 // A hand-written scenario through the -scenario code path: quadratic
@@ -102,5 +108,104 @@ func TestScenarioFileErrors(t *testing.T) {
 	os.WriteFile(bad, []byte("scenario x\ninit {\nnot_a_transform\n}\n"), 0o644)
 	if _, err := runScenarioFile(d, bad); err == nil {
 		t.Error("unknown transform not reported at load")
+	}
+}
+
+// traced owns every tpsflow trace file: it closes the stream with
+// flow_end carrying the run's error, and a trace it cannot write fails
+// the command instead of leaving an empty file behind a zero exit.
+func TestTracedClosesAndReportsWriteErrors(t *testing.T) {
+	boom := errors.New("boom")
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	err := traced(path, func(tr tps.Tracer) error {
+		if tr == nil {
+			t.Fatal("no tracer handed to the run despite a trace path")
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) || err.Error() != "boom" {
+		t.Fatalf("traced returned %v, want the run's error alone", err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var end tps.TraceEvent
+	if err := json.Unmarshal(b, &end); err != nil || end.Type != tps.EvFlowEnd || end.Err != "boom" {
+		t.Fatalf("trace %q does not end with flow_end err=boom (%v)", b, err)
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to provoke a write error")
+	}
+	if err := traced("/dev/full", func(tps.Tracer) error { return nil }); err == nil {
+		t.Fatal("a trace write to a full device was not reported")
+	}
+}
+
+// submitted prints info as a -submit run does after fetching it from
+// tpsd: a done job, through its JSON encoding. It returns what went to
+// stdout and to stderr.
+func submitted(t *testing.T, info serve.JobInfo) (stdout, stderr string) {
+	t.Helper()
+	info.State = serve.JobDone
+	b, err := json.Marshal(info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fetched serve.JobInfo
+	if err := json.Unmarshal(b, &fetched); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	if err := reportJob(&out, &errw, fetched); err != nil {
+		t.Fatal(err)
+	}
+	return out.String(), errw.String()
+}
+
+// A local -portfolio or -autotune run and the same job through -submit
+// print one report: the winner lines are the same bytes, and -submit
+// moves only the race's verdict table to stderr.
+func TestReportSameLocalAndSubmit(t *testing.T) {
+	d := tps.NewDesign(tps.DesignParams{Name: "cli", NumGates: 60, Levels: 4, Seed: 1})
+	defer d.Close()
+
+	race, err := tps.ParseRaceSpec("portfolio r\nentrant name=a flow=tps seed=1\nentrant name=b flow=spr seed=2\n", flowResolver(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rres, err := d.Race(context.Background(), *race)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rres.Verdicts[rres.Winner].Metrics
+	var local bytes.Buffer
+	printRace(&local, &local, serve.RaceSummary(rres), m)
+	out, table := submitted(t, serve.JobInfo{Metrics: m, Race: serve.RaceSummary(rres)})
+	if !strings.Contains(out, "RACE winner=") || table+out != local.String() {
+		t.Fatalf("race report differs:\nlocal:\n%s\n-submit stderr:\n%s\n-submit stdout:\n%s", &local, table, out)
+	}
+
+	search, err := tps.ParseAutotuneSpec("autotune s\nflow tps\npopulation 1\noffspring 1\ngenerations 1\nseed 2\n", flowResolver(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ares, err := d.Autotune(context.Background(), *search)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failedBase := *ares
+	failedBase.BaseObjective = math.Inf(-1)
+	for _, res := range []*tps.AutotuneResult{ares, &failedBase} {
+		var local bytes.Buffer
+		printAutotune(&local, serve.AutotuneSummary(res))
+		out, errw := submitted(t, serve.JobInfo{Metrics: res.BestMetrics, Autotune: serve.AutotuneSummary(res)})
+		if !strings.Contains(out, "AUTOTUNE winner=") || out != local.String() || errw != "" {
+			t.Fatalf("search report differs:\nlocal:\n%s\n-submit stdout:\n%s\n-submit stderr:\n%s", &local, out, errw)
+		}
+		if res == &failedBase && !strings.Contains(out, " baseline=-Inf ") {
+			t.Errorf("failed base flow not reported as baseline=-Inf:\n%s", out)
+		}
 	}
 }

@@ -3,89 +3,61 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
 	"tps"
 	"tps/internal/scenario"
+	"tps/internal/serve"
 )
 
 // runPortfolio executes a race locally: fork the design per entrant,
-// race, report every verdict, and adopt the winner. The `RACE winner=`
-// line is deliberately free of timings so runs at different -workers
-// widths can be diffed verbatim — that is the determinism contract.
-func runPortfolio(makeDesign func() (*tps.Design, error), spec *tps.RaceSpec, traceFile, out string, verbose bool) error {
-	d, err := makeDesign()
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	cw, ch := d.Chip()
-	fmt.Printf("design %s: %d gates, %d nets, die %.0f×%.0f µm, period %.0f ps\n",
-		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), cw, ch, d.Period())
+// race, print the race report, and adopt the winner.
+func runPortfolio(d *tps.Design, spec *tps.RaceSpec, traceFile, out string) error {
 	fmt.Printf("RACE portfolio=%s objective=%s entrants=%d\n",
 		spec.Name, orDefault(spec.Objective, scenario.DefaultObjective), len(spec.Entrants))
-
-	if verbose {
-		// Context.Logf emits whole lines in single Write calls, so the
-		// shared stderr interleaves cleanly across entrants.
-		spec.Log = os.Stderr
+	var res *tps.RaceResult
+	err := traced(traceFile, func(tr tps.Tracer) (err error) {
+		spec.Trace = tr
+		res, err = d.Race(context.Background(), *spec)
+		return err
+	})
+	if res == nil {
+		return err
 	}
-	var tracer tps.Tracer
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		tracer = tps.NewJSONLTracer(f)
-		spec.Trace = tracer
+	var m *scenario.Metrics
+	if res.Winner >= 0 {
+		m = res.Verdicts[res.Winner].Metrics
 	}
-
-	res, raceErr := d.Race(context.Background(), *spec)
-	if tracer != nil {
-		// The race stream ends with race_verdict; append the tool-level
-		// terminal flow_end so every tpsflow trace file closes the same way.
-		end := tps.TraceEvent{Type: tps.EvFlowEnd}
-		if raceErr != nil {
-			end.Err = raceErr.Error()
-		}
-		tracer.Emit(end)
+	printRace(os.Stdout, os.Stdout, serve.RaceSummary(res), m)
+	if err != nil || out == "" {
+		return err
 	}
-	if res != nil {
-		printVerdicts(res)
+	if err := saveDesign(out, tps.Adopt(res.WinnerDesign)); err != nil {
+		return err
 	}
-	if raceErr != nil {
-		return raceErr
-	}
-
-	w := &res.Verdicts[res.Winner]
-	m := w.Metrics
-	fmt.Printf("RACE winner=%s obj=%g slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
-		w.Name, w.Objective, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
-
-	if out != "" {
-		if err := saveDesign(out, tps.Adopt(res.WinnerDesign)); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (winner %s)\n", out, w.Name)
-	}
+	fmt.Printf("wrote %s (winner %s)\n", out, res.Verdicts[res.Winner].Name)
 	return nil
 }
 
-// printVerdicts prints the per-entrant outcome table.
-func printVerdicts(res *tps.RaceResult) {
-	for i := range res.Verdicts {
-		v := &res.Verdicts[i]
-		var detail string
-		switch {
-		case v.Status == "finished":
+// printRace prints a race report, local or fetched from tpsd: the
+// per-entrant verdict table to table, then, if an entrant won, the
+// `RACE winner=` line to out, where m is the winner's metrics. The
+// winner line is free of timings, so runs at any -workers width, local
+// or -submit, diff verbatim: that is the determinism contract.
+func printRace(out, table io.Writer, r *serve.RaceInfo, m *scenario.Metrics) {
+	for _, v := range r.Verdicts {
+		detail := v.Error
+		if v.Status == "finished" {
 			detail = fmt.Sprintf("obj=%g accepts=%d rejects=%d (%.1fs)",
 				v.Objective, v.Accepts, v.Rejects, v.DurMs/1000)
-		case v.Err != "":
-			detail = v.Err
 		}
-		fmt.Printf("  %-12s seed=%-4d %-10s %s\n", v.Name, v.Seed, v.Status, strings.TrimSpace(detail))
+		fmt.Fprintf(table, "  %-12s seed=%-4d %-10s %s\n", v.Name, v.Seed, v.Status, strings.TrimSpace(detail))
+	}
+	if r.WinnerIndex >= 0 && m != nil {
+		fmt.Fprintf(out, "RACE winner=%s obj=%g slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
+			r.Winner, r.Verdicts[r.WinnerIndex].Objective, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
 	}
 }
 

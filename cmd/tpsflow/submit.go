@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"strings"
@@ -14,51 +15,10 @@ import (
 	"tps/internal/serve"
 )
 
-// submitOpts carries the -submit client configuration.
-type submitOpts struct {
-	base         string // tpsd base URL
-	flow         string // built-in flow when no -scenario
-	scenarioFile string
-	workers      int
-	seed         int64
-	makeDesign   func() (*tps.Design, error)
-}
-
-// runSubmit is the -submit client: it serializes the local design,
-// posts a job to a tpsd server, streams the job's JSONL trace to
-// stdout until the terminal flow_end record, and reports the job's
-// final state. The exit status mirrors the remote flow's outcome.
-func runSubmit(o submitOpts) error {
-	scenarioText, err := flowResolver("")(o.flow, o.scenarioFile)
-	if err != nil {
-		return err
-	}
-	net, err := designText(o)
-	if err != nil {
-		return err
-	}
-	return submitAndStream(o.base, serve.SubmitRequest{
-		Netlist:  net,
-		Scenario: scenarioText,
-		Workers:  o.workers,
-		Seed:     o.seed,
-	})
-}
-
-// runSubmitRace ships a portfolio race to the server: the locally
-// resolved spec becomes the submission's entrant list, and the merged
-// entrant-tagged trace streams back to stdout.
-func runSubmitRace(o submitOpts, spec *tps.RaceSpec) error {
-	net, err := designText(o)
-	if err != nil {
-		return err
-	}
-	req := serve.SubmitRequest{
-		Netlist:     net,
-		Workers:     o.workers,
-		Objective:   spec.Objective,
-		DeadlineSec: spec.Deadline.Seconds(),
-	}
+// raceRequest is the -submit job of a portfolio race: the locally
+// resolved spec becomes the submission's entrant list.
+func raceRequest(spec *tps.RaceSpec) serve.SubmitRequest {
+	req := serve.SubmitRequest{Objective: spec.Objective, DeadlineSec: spec.Deadline.Seconds()}
 	for i := range spec.Entrants {
 		e := &spec.Entrants[i]
 		req.Entrants = append(req.Entrants, serve.RaceEntrant{
@@ -66,17 +26,12 @@ func runSubmitRace(o submitOpts, spec *tps.RaceSpec) error {
 			Bound: e.Bound, Params: e.Params,
 		})
 	}
-	return submitAndStream(o.base, req)
+	return req
 }
 
-// runSubmitAutotune ships an autoflow search to the server: the locally
-// resolved spec becomes the submission's Autotune block, and the
-// variant-tagged trace streams back to stdout.
-func runSubmitAutotune(o submitOpts, spec *tps.AutotuneSpec) error {
-	net, err := designText(o)
-	if err != nil {
-		return err
-	}
+// autotuneRequest is the -submit job of an autoflow search: the locally
+// resolved spec becomes the submission's Autotune block.
+func autotuneRequest(spec *tps.AutotuneSpec) serve.SubmitRequest {
 	a := &serve.AutotuneRequest{
 		Scenario:    spec.Script,
 		Objective:   spec.Objective,
@@ -94,34 +49,29 @@ func runSubmitAutotune(o submitOpts, spec *tps.AutotuneSpec) error {
 		w := spec.Weights
 		a.Weights = &w
 	}
-	return submitAndStream(o.base, serve.SubmitRequest{
-		Netlist:  net,
-		Workers:  o.workers,
-		Autotune: a,
-	})
+	return serve.SubmitRequest{Autotune: a}
 }
 
-// designText serializes the local design selection as .tpn.
-func designText(o submitOpts) (string, error) {
-	d, err := o.makeDesign()
+// submitJob is the -submit client of every mode: it serializes the
+// local design into req as an inline .tpn netlist, asks for the -workers
+// width, posts the job to a tpsd server, streams the job's JSONL trace
+// to stdout until the terminal flow_end record, and prints the job's
+// report. The exit status mirrors the remote job's outcome.
+func submitJob(baseURL string, workers int, makeDesign func() (*tps.Design, error), req serve.SubmitRequest) error {
+	d, err := makeDesign()
 	if err != nil {
-		return "", err
+		return err
 	}
-	var netBuf bytes.Buffer
-	err = d.Save(&netBuf)
+	var net bytes.Buffer
+	err = d.Save(&net)
 	d.Close()
 	if err != nil {
-		return "", err
+		return err
 	}
-	return netBuf.String(), nil
-}
+	req.Netlist, req.Workers = net.String(), workers
 
-// submitAndStream posts the job, streams its trace to stdout until the
-// terminal flow_end, and reports the verdict.
-func submitAndStream(baseURL string, req serve.SubmitRequest) error {
 	base := strings.TrimRight(baseURL, "/")
 	client := &http.Client{} // no timeout: the trace stream is long-lived
-
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
@@ -169,44 +119,27 @@ func submitAndStream(baseURL string, req serve.SubmitRequest) error {
 	if err != nil {
 		return err
 	}
-	switch info.State {
-	case serve.JobDone:
-		if a := info.Autotune; a != nil {
-			// Deterministic winner line, mirroring the local -autotune
-			// output so the two modes can be diffed.
-			obj, base := 0.0, 0.0
-			if a.WinnerObjective != nil {
-				obj = *a.WinnerObjective
-			}
-			if a.BaseObjective != nil {
-				base = *a.BaseObjective
-			}
-			fmt.Printf("AUTOTUNE winner=%s obj=%g baseline=%g gens=%d evaluated=%d\n",
-				a.Winner, obj, base, a.Generations, a.Evaluated)
-			fmt.Print(a.WinnerScript)
-			return nil
-		}
-		if r := info.Race; r != nil {
-			for _, v := range r.Verdicts {
-				fmt.Fprintf(os.Stderr, "tpsflow:   %-12s seed=%-4d %-10s obj=%g\n",
-					v.Name, v.Seed, v.Status, v.Objective)
-			}
-			if m := info.Metrics; m != nil {
-				// Deterministic winner line, mirroring the local -portfolio
-				// output so the two modes can be diffed.
-				fmt.Printf("RACE winner=%s obj=%g slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
-					r.Winner, r.Verdicts[r.WinnerIndex].Objective, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
-			}
-			return nil
-		}
-		if m := info.Metrics; m != nil {
-			fmt.Fprintf(os.Stderr, "tpsflow: job %s done: slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
-				info.ID, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
-		}
-		return nil
-	default:
+	return reportJob(os.Stdout, os.Stderr, info)
+}
+
+// reportJob prints a terminal job's report with the printers the local
+// modes use: the winner line (and a search's script) to out, the race
+// verdict table or a plain flow's closing line to errw. A job that did
+// not end done reports nothing and returns its error.
+func reportJob(out, errw io.Writer, info serve.JobInfo) error {
+	if info.State != serve.JobDone {
 		return fmt.Errorf("job %s %s: %s", info.ID, info.State, info.Error)
 	}
+	switch m := info.Metrics; {
+	case info.Race != nil:
+		printRace(out, errw, info.Race, m)
+	case info.Autotune != nil:
+		printAutotune(out, info.Autotune)
+	case m != nil:
+		fmt.Fprintf(errw, "tpsflow: job %s done: slack=%.0fps cycle=%.0fps wire=%.0fµm\n",
+			info.ID, m.WorstSlack, m.CycleAchieved, m.SteinerWireUm)
+	}
+	return nil
 }
 
 // fetchJob retries briefly: the job goes terminal the instant flow_end

@@ -6,14 +6,15 @@ import (
 
 	"tps/internal/cell"
 	"tps/internal/gen"
+	"tps/internal/scenario"
 )
 
 // outcome is one flow's observable result: the Table-1 metrics plus the
 // analyzer bookkeeping. CPUSeconds is wall time and is zeroed before
 // comparison; everything else must be bit-identical across runs.
 type outcome struct {
-	m  Metrics
-	st AnalyzerStats
+	m  scenario.Metrics
+	st scenario.AnalyzerStats
 }
 
 // runFlow builds a fresh design from cfg and runs the named flow over
@@ -31,10 +32,10 @@ func runFlow(cfg flowCfg) outcome {
 	p := gen.Des(cfg.des, cfg.scale)
 	p.Seed = cfg.seed
 	d := gen.Generate(cell.Default(), p)
-	c := NewContext(d, cfg.seed)
+	c := scenario.NewContext(d, cfg.seed)
 	defer c.Close()
 	c.SetWorkers(2)
-	var m Metrics
+	var m scenario.Metrics
 	if cfg.flow == "TPS" {
 		opt := DefaultTPSOptions()
 		opt.TransformBudget = 16

@@ -8,6 +8,7 @@ import (
 	"tps/internal/gen"
 	"tps/internal/netlist"
 	"tps/internal/place"
+	"tps/internal/scenario"
 )
 
 func smallDesign(seed int64) *gen.Design {
@@ -18,7 +19,7 @@ func smallDesign(seed int64) *gen.Design {
 
 func TestRunTPSCompletes(t *testing.T) {
 	d := smallDesign(1)
-	c := NewContext(d, 1)
+	c := scenario.NewContext(d, 1)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 16
@@ -52,7 +53,7 @@ func TestRunTPSCompletes(t *testing.T) {
 
 func TestRunSPRCompletes(t *testing.T) {
 	d := smallDesign(2)
-	c := NewContext(d, 2)
+	c := scenario.NewContext(d, 2)
 	defer c.Close()
 	opt := DefaultSPROptions()
 	opt.TransformBudget = 16
@@ -77,21 +78,21 @@ func TestTPSBeatsSPROnSlack(t *testing.T) {
 		t.Skip("flow comparison in -short mode")
 	}
 	dS := smallDesign(3)
-	cS := NewContext(dS, 3)
+	cS := scenario.NewContext(dS, 3)
 	sprOpt := DefaultSPROptions()
 	sprOpt.TransformBudget = 32
 	spr := RunSPR(cS, sprOpt)
 	cS.Close()
 
 	dT := smallDesign(3) // identical design, fresh copy
-	cT := NewContext(dT, 3)
+	cT := scenario.NewContext(dT, 3)
 	tpsOpt := DefaultTPSOptions()
 	tpsOpt.TransformBudget = 32
 	tps := RunTPS(cT, tpsOpt)
 	cT.Close()
 
 	t.Logf("SPR slack %.0f vs TPS slack %.0f (cycle impr %.1f%%)",
-		spr.WorstSlack, tps.WorstSlack, CycleImprovementPct(spr, tps))
+		spr.WorstSlack, tps.WorstSlack, scenario.CycleImprovementPct(spr, tps))
 	if tps.WorstSlack <= spr.WorstSlack {
 		t.Errorf("TPS slack %.0f not better than SPR %.0f", tps.WorstSlack, spr.WorstSlack)
 	}
@@ -101,7 +102,7 @@ func TestScenarioScheduleGating(t *testing.T) {
 	// E5: transforms fire only in their status windows. We verify through
 	// the schedule object's own bookkeeping via a custom-run loop.
 	d := smallDesign(4)
-	c := NewContext(d, 4)
+	c := scenario.NewContext(d, 4)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 4
@@ -117,9 +118,9 @@ func TestScenarioScheduleGating(t *testing.T) {
 }
 
 func TestTPSDeterministic(t *testing.T) {
-	run := func() Metrics {
+	run := func() scenario.Metrics {
 		d := smallDesign(5)
-		c := NewContext(d, 5)
+		c := scenario.NewContext(d, 5)
 		defer c.Close()
 		opt := DefaultTPSOptions()
 		opt.TransformBudget = 8
@@ -133,12 +134,12 @@ func TestTPSDeterministic(t *testing.T) {
 }
 
 func TestCycleImprovement(t *testing.T) {
-	spr := Metrics{CycleAchieved: 1000}
-	tps := Metrics{CycleAchieved: 900}
-	if got := CycleImprovementPct(spr, tps); math.Abs(got-10) > 1e-9 {
+	spr := scenario.Metrics{CycleAchieved: 1000}
+	tps := scenario.Metrics{CycleAchieved: 900}
+	if got := scenario.CycleImprovementPct(spr, tps); math.Abs(got-10) > 1e-9 {
 		t.Errorf("impr = %g, want 10", got)
 	}
-	if CycleImprovementPct(Metrics{}, tps) != 0 {
+	if scenario.CycleImprovementPct(scenario.Metrics{}, tps) != 0 {
 		t.Errorf("division guard failed")
 	}
 }

@@ -5,11 +5,12 @@ import (
 
 	"tps/internal/cell"
 	"tps/internal/netlist"
+	"tps/internal/scenario"
 )
 
 func TestTPSWithoutVirtualDiscretization(t *testing.T) {
 	d := smallDesign(11)
-	c := NewContext(d, 11)
+	c := scenario.NewContext(d, 11)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.VirtualDiscretization = false
@@ -26,7 +27,7 @@ func TestTPSWithoutVirtualDiscretization(t *testing.T) {
 
 func TestTPSWithoutReflow(t *testing.T) {
 	d := smallDesign(12)
-	c := NewContext(d, 12)
+	c := scenario.NewContext(d, 12)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.DisableReflow = true
@@ -40,7 +41,7 @@ func TestTPSWithoutReflow(t *testing.T) {
 
 func TestTPSTraditionalClockPath(t *testing.T) {
 	d := smallDesign(13)
-	c := NewContext(d, 13)
+	c := scenario.NewContext(d, 13)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.DisableClockScanSchedule = true
@@ -62,7 +63,7 @@ func TestTPSTraditionalClockPath(t *testing.T) {
 
 func TestSPRLeavesLegalPlacementAndClocks(t *testing.T) {
 	d := smallDesign(14)
-	c := NewContext(d, 14)
+	c := scenario.NewContext(d, 14)
 	defer c.Close()
 	opt := DefaultSPROptions()
 	opt.SkipRouting = true
@@ -86,7 +87,7 @@ func TestSPRLeavesLegalPlacementAndClocks(t *testing.T) {
 
 func TestEvaluateFieldsConsistent(t *testing.T) {
 	d := smallDesign(15)
-	c := NewContext(d, 15)
+	c := scenario.NewContext(d, 15)
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.SkipRouting = true
@@ -109,7 +110,7 @@ func TestEvaluateFieldsConsistent(t *testing.T) {
 func TestNoSizelessGatesEscapeEitherFlow(t *testing.T) {
 	for seed := int64(16); seed <= 17; seed++ {
 		d := smallDesign(seed)
-		c := NewContext(d, seed)
+		c := scenario.NewContext(d, seed)
 		opt := DefaultTPSOptions()
 		opt.SkipRouting = true
 		opt.TransformBudget = 4

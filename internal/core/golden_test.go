@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"tps/internal/scenario"
 )
 
 // The scenario engine's contract: the built-in TPS and SPR scripts
@@ -13,18 +15,18 @@ import (
 // compareRuns executes the engine flow and the legacy flow on identical
 // same-seed designs and compares everything except wall-clock.
 func compareRuns(t *testing.T, name string, workers int,
-	engine func(*Context) Metrics, legacy func(*Context) Metrics) {
+	engine func(*scenario.Context) scenario.Metrics, legacy func(*scenario.Context) scenario.Metrics) {
 	t.Helper()
 
 	dE := smallDesign(11)
-	cE := NewContext(dE, 11)
+	cE := scenario.NewContext(dE, 11)
 	cE.SetWorkers(workers)
 	gotM := engine(cE)
 	gotS := cE.AnalyzerStats()
 	cE.Close()
 
 	dL := smallDesign(11)
-	cL := NewContext(dL, 11)
+	cL := scenario.NewContext(dL, 11)
 	cL.SetWorkers(workers)
 	wantM := legacy(cL)
 	wantS := cL.AnalyzerStats()
@@ -46,8 +48,8 @@ func TestGoldenTPSEquivalence(t *testing.T) {
 		workers := workers
 		t.Run(map[int]string{1: "workers=1", 8: "workers=8"}[workers], func(t *testing.T) {
 			compareRuns(t, "TPS", workers,
-				func(c *Context) Metrics { return RunTPS(c, opt) },
-				func(c *Context) Metrics { return runTPSLegacy(c, opt) })
+				func(c *scenario.Context) scenario.Metrics { return RunTPS(c, opt) },
+				func(c *scenario.Context) scenario.Metrics { return runTPSLegacy(c, opt) })
 		})
 	}
 }
@@ -66,8 +68,8 @@ func TestGoldenTPSEquivalenceAblations(t *testing.T) {
 	opt.SkipRouting = true
 	opt.Step = 10
 	compareRuns(t, "TPS-ablated", 1,
-		func(c *Context) Metrics { return RunTPS(c, opt) },
-		func(c *Context) Metrics { return runTPSLegacy(c, opt) })
+		func(c *scenario.Context) scenario.Metrics { return RunTPS(c, opt) },
+		func(c *scenario.Context) scenario.Metrics { return runTPSLegacy(c, opt) })
 }
 
 func TestGoldenSPREquivalence(t *testing.T) {
@@ -77,8 +79,8 @@ func TestGoldenSPREquivalence(t *testing.T) {
 		workers := workers
 		t.Run(map[int]string{1: "workers=1", 8: "workers=8"}[workers], func(t *testing.T) {
 			compareRuns(t, "SPR", workers,
-				func(c *Context) Metrics { return RunSPR(c, opt) },
-				func(c *Context) Metrics { return runSPRLegacy(c, opt) })
+				func(c *scenario.Context) scenario.Metrics { return RunSPR(c, opt) },
+				func(c *scenario.Context) scenario.Metrics { return runSPRLegacy(c, opt) })
 		})
 	}
 }

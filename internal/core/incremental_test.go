@@ -9,6 +9,7 @@ import (
 	"tps/internal/congestion"
 	"tps/internal/image"
 	"tps/internal/netlist"
+	"tps/internal/scenario"
 	"tps/internal/steiner"
 )
 
@@ -24,7 +25,7 @@ import (
 // 4-wide here while the reference analyzers run serial).
 func TestIncrementalEquivalenceProperty(t *testing.T) {
 	d := smallDesign(21)
-	c := NewContext(d, 21)
+	c := scenario.NewContext(d, 21)
 	defer c.Close()
 	c.SetWorkers(4)
 	nl := c.NL

@@ -18,11 +18,12 @@ import (
 	"tps/internal/quadratic"
 	"tps/internal/relocate"
 	"tps/internal/route"
+	"tps/internal/scenario"
 	"tps/internal/sizing"
 	"tps/internal/synth"
 )
 
-func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
+func runTPSLegacy(c *scenario.Context, opt TPSOptions) scenario.Metrics {
 	start := time.Now()
 	if opt.Step <= 0 {
 		opt.Step = 5
@@ -200,7 +201,7 @@ func runTPSLegacy(c *Context, opt TPSOptions) Metrics {
 	return m
 }
 
-func runSPRLegacy(c *Context, opt SPROptions) Metrics {
+func runSPRLegacy(c *scenario.Context, opt SPROptions) scenario.Metrics {
 	start := time.Now()
 	if opt.MaxIterations <= 0 {
 		opt.MaxIterations = 4
@@ -292,7 +293,7 @@ func runSPRLegacy(c *Context, opt SPROptions) Metrics {
 	return m
 }
 
-func syncImageLegacy(c *Context) {
+func syncImageLegacy(c *scenario.Context) {
 	t := c.NL.Lib.Tech
 	c.Im.ClearUsage()
 	c.NL.Gates(func(g *netlist.Gate) {

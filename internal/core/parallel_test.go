@@ -6,14 +6,15 @@ import (
 	"tps/internal/congestion"
 	"tps/internal/place"
 	"tps/internal/route"
+	"tps/internal/scenario"
 )
 
 // runWithWorkers runs the full TPS scenario (routing included) on a fresh
 // copy of the same seeded design with the given worker count.
-func runWithWorkers(t *testing.T, workers int) (Metrics, AnalyzerStats) {
+func runWithWorkers(t *testing.T, workers int) (scenario.Metrics, scenario.AnalyzerStats) {
 	t.Helper()
 	d := smallDesign(7)
-	c := NewContext(d, 7)
+	c := scenario.NewContext(d, 7)
 	defer c.Close()
 	c.SetWorkers(workers)
 	opt := DefaultTPSOptions()
@@ -65,7 +66,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 	// to match field for field, or some transform took a different path at
 	// the two worker counts.
 	if statS != statP {
-		t.Errorf("AnalyzerStats diverged: serial %+v != parallel %+v", statS, statP)
+		t.Errorf("scenario.AnalyzerStats diverged: serial %+v != parallel %+v", statS, statP)
 	}
 }
 
@@ -78,7 +79,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 func transformTrace(t *testing.T, workers int) []float64 {
 	t.Helper()
 	d := smallDesign(9)
-	c := NewContext(d, 9)
+	c := scenario.NewContext(d, 9)
 	defer c.Close()
 	c.SetWorkers(workers)
 
@@ -129,7 +130,7 @@ func TestTransformAnalyzerInterleaveDeterministic(t *testing.T) {
 // serial rather than wedging the pool.
 func TestSetWorkersClampsAndPropagates(t *testing.T) {
 	d := smallDesign(3)
-	c := NewContext(d, 3)
+	c := scenario.NewContext(d, 3)
 	defer c.Close()
 	if c.Workers < 1 || c.St.Workers != c.Workers || c.Eng.Workers != c.Workers {
 		t.Fatalf("NewContext workers out of sync: ctx=%d st=%d eng=%d",
@@ -152,7 +153,7 @@ func TestSetWorkersClampsAndPropagates(t *testing.T) {
 // must equal a direct AnalyzeN call at the same worker count.
 func TestEvaluateMatchesStandaloneAnalyzers(t *testing.T) {
 	d := smallDesign(4)
-	c := NewContext(d, 4)
+	c := scenario.NewContext(d, 4)
 	defer c.Close()
 	c.SetWorkers(4)
 	opt := DefaultTPSOptions()

@@ -13,7 +13,7 @@ import (
 // and AnalyzerStats.
 func TestTracingLeavesResultsIdentical(t *testing.T) {
 	run := func(workers int, traced bool) outcome {
-		c := NewContext(smallDesign(5), 5)
+		c := scenario.NewContext(smallDesign(5), 5)
 		defer c.Close()
 		c.SetWorkers(workers)
 		if traced {

@@ -177,32 +177,6 @@ type gateMove struct {
 	x, y float64
 }
 
-// splitMix64 is the SplitMix64 finalizer: a bijective avalanche mix in
-// which every input bit affects every output bit. Used to derive child RNG
-// seeds that are decorrelated across sibling subproblems.
-func splitMix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
-// deriveSeed hashes the root seed with a path of identifiers (cell salt,
-// refinement level, cut stage) into an independent child seed. The old
-// linear form salt*7919 + lvl*104729 (+hi+1) was not injective across
-// (salt, lvl, hi) tuples — e.g. salts 104729 apart at adjacent levels
-// collided — so sibling subtrees could run the partitioner with the same
-// seed and make correlated cut decisions. SplitMix64 chaining keeps the
-// derivation splittable (any component change reseeds the whole subtree)
-// while making collisions between distinct paths vanishingly unlikely.
-func deriveSeed(root int64, path ...int64) int64 {
-	h := splitMix64(uint64(root))
-	for _, p := range path {
-		h = splitMix64(h ^ splitMix64(uint64(p)))
-	}
-	return int64(h)
-}
-
 // quadrisect splits one window's gates into its four children and returns
 // the resulting moves without applying them. The x-split reads only x
 // coordinates and the y-splits read only y coordinates, so deferring the
@@ -217,7 +191,7 @@ func (p *Placer) quadrisect(gates []*netlist.Gate, x0, y0, w, h float64, salt in
 	// Stage 1: x-split. Capacity-proportional target from the child bins.
 	capL := p.halfCap(x0, y0, w/2, h)
 	capR := p.halfCap(xm, y0, w/2, h)
-	left, right := p.bisect(gates, axisX, xm, frac(capL, capR), p.Tolerance, deriveSeed(p.Seed, salt, lvl, 0), workers)
+	left, right := p.bisect(gates, axisX, xm, frac(capL, capR), p.Tolerance, par.DeriveSeed(p.Seed, salt, lvl, 0), workers)
 	newX := [2]float64{x0 + w/4, xm + w/4}
 
 	// Stage 2: y-split of each half. The halves are independent (each reads
@@ -239,7 +213,7 @@ func (p *Placer) quadrisect(gates []*netlist.Gate, x0, y0, w, h float64, salt in
 		if hw < 1 {
 			hw = 1
 		}
-		bot, top := p.bisect(half, axisY, ym, frac(capB, capT), p.Tolerance, deriveSeed(p.Seed, salt, lvl, int64(hi)+1), hw)
+		bot, top := p.bisect(half, axisY, ym, frac(capB, capT), p.Tolerance, par.DeriveSeed(p.Seed, salt, lvl, int64(hi)+1), hw)
 		ms := make([]gateMove, 0, len(half))
 		for _, g := range bot {
 			ms = append(ms, gateMove{g, newX[hi], y0 + h/4})
@@ -567,7 +541,7 @@ func (p *Placer) reflowSweep(ax axis) {
 		}
 		// Stage ids 3/4 keep reflow sweeps disjoint from the quadrisect
 		// stages 0–2 in the derivation path space.
-		s0, s1 := p.bisect(merged, ax, cut, target, tol, deriveSeed(p.Seed, int64(a), int64(p.Im.Level), 3+int64(ax)), 1)
+		s0, s1 := p.bisect(merged, ax, cut, target, tol, par.DeriveSeed(p.Seed, int64(a), int64(p.Im.Level), 3+int64(ax)), 1)
 		// Reposition to the two cell centers.
 		for _, g := range s0 {
 			cx, cy := p.cellCenter(a)

@@ -1,10 +1,14 @@
 package place
 
-import "testing"
+import (
+	"testing"
 
-// TestDeriveSeedDistinct asserts that the seed derivation assigns distinct
-// partitioner seeds to every (salt, level, stage) subproblem a realistic
-// placement visits. The old linear mix salt*7919 + lvl*104729 + stage had
+	"tps/internal/par"
+)
+
+// TestDeriveSeedDistinct asserts that par.DeriveSeed, which seeds every
+// partitioner run of the placer, assigns distinct seeds to every (salt,
+// level, stage) subproblem a realistic placement visits. The old linear mix salt*7919 + lvl*104729 + stage had
 // systematic collisions (e.g. salt+104729 at level L collided with salt at
 // level L+1), correlating the cut randomness of sibling subtrees.
 func TestDeriveSeedDistinct(t *testing.T) {
@@ -16,7 +20,7 @@ func TestDeriveSeedDistinct(t *testing.T) {
 	for lvl := int64(0); lvl <= 8; lvl++ {
 		for salt := int64(0); salt < 1<<12; salt++ {
 			for stage := int64(0); stage < 5; stage++ {
-				s := deriveSeed(root, salt, lvl, stage)
+				s := par.DeriveSeed(root, salt, lvl, stage)
 				if prev, dup := seen[s]; dup {
 					t.Fatalf("seed collision: (salt=%d lvl=%d stage=%d) and (salt=%d lvl=%d stage=%d) both derive %d",
 						salt, lvl, stage, prev[0], prev[1], prev[2], s)
@@ -43,8 +47,8 @@ func TestDeriveSeedOldSchemeCollides(t *testing.T) {
 	if a != b {
 		t.Fatalf("expected the old scheme to collide: %d vs %d", a, b)
 	}
-	if deriveSeed(42, 104729, 0, 0) == deriveSeed(42, 0, 7919, 0) {
-		t.Fatal("deriveSeed reproduces the old collision")
+	if par.DeriveSeed(42, 104729, 0, 0) == par.DeriveSeed(42, 0, 7919, 0) {
+		t.Fatal("par.DeriveSeed reproduces the old collision")
 	}
 }
 
@@ -52,7 +56,7 @@ func TestDeriveSeedOldSchemeCollides(t *testing.T) {
 // whole derivation tree (same path, different root → different seed).
 func TestDeriveSeedRootSensitivity(t *testing.T) {
 	for root := int64(0); root < 64; root++ {
-		if deriveSeed(root, 3, 2, 1) == deriveSeed(root+1, 3, 2, 1) {
+		if par.DeriveSeed(root, 3, 2, 1) == par.DeriveSeed(root+1, 3, 2, 1) {
 			t.Fatalf("roots %d and %d derive the same child seed", root, root+1)
 		}
 	}

@@ -36,9 +36,9 @@ func TestRaceTraceInvariants(t *testing.T) {
 		t.Fatalf("race: %v", err)
 	}
 
-	nextSeq := map[string]int{}   // entrant → expected next seq
-	flowEnds := map[string]int{}  // entrant → flow_end count
-	closed := map[string]bool{}   // entrant → flow_end seen
+	nextSeq := map[string]int{}  // entrant → expected next seq
+	flowEnds := map[string]int{} // entrant → flow_end count
+	closed := map[string]bool{}  // entrant → flow_end seen
 	verdicts := 0
 	for i, ev := range rec.events {
 		if ev.Type == scenario.EvRaceVerdict {

@@ -5,7 +5,6 @@ import (
 	"tps/internal/image"
 	"tps/internal/netlist"
 	"tps/internal/steiner"
-	"tps/internal/timing"
 )
 
 // RelieveCongestion is the congestion-elimination transform sketched in §1: "a
@@ -18,7 +17,7 @@ import (
 // stop, when non-nil, is polled between hot-spot bins (safe commit
 // points); a non-nil return stops the pass with the moves so far kept.
 func RelieveCongestion(nl *netlist.Netlist, st *steiner.Cache, im *image.Image,
-	rel *Relocator, eng *timing.Engine, maxMoves int, stop func() error) int {
+	rel *Relocator, maxMoves int, stop func() error) int {
 	congestion.Analyze(nl, st, im) // refresh WireUsed on the bins
 
 	type hot struct {
@@ -44,7 +43,6 @@ func RelieveCongestion(nl *netlist.Netlist, st *steiner.Cache, im *image.Image,
 	}
 
 	moved := 0
-	_ = eng
 	for _, h := range hots {
 		if stop != nil && stop() != nil {
 			break

@@ -14,7 +14,7 @@ import (
 
 // hotspotRig crams many connected cells into one bin so its boundary
 // wiring overflows.
-func hotspotRig(t *testing.T) (*netlist.Netlist, *steiner.Cache, *image.Image, *Relocator, *timing.Engine) {
+func hotspotRig(t *testing.T) (*netlist.Netlist, *steiner.Cache, *image.Image, *Relocator) {
 	t.Helper()
 	nl := netlist.New("hot", cell.Default())
 	lib := nl.Lib
@@ -52,16 +52,16 @@ func hotspotRig(t *testing.T) (*netlist.Netlist, *steiner.Cache, *image.Image, *
 	calc := delay.NewCalculator(nl, st, delay.Actual)
 	eng := timing.New(nl, calc, 1e6)
 	rel := New(nl, eng, im)
-	return nl, st, im, rel, eng
+	return nl, st, im, rel
 }
 
 func TestRelieveReducesOverflow(t *testing.T) {
-	nl, st, im, rel, eng := hotspotRig(t)
+	nl, st, im, rel := hotspotRig(t)
 	before := congestion.Analyze(nl, st, im)
 	if before.OverflowEdges == 0 {
 		t.Fatal("setup error: no overflow to relieve")
 	}
-	moved := RelieveCongestion(nl, st, im, rel, eng, 0, nil)
+	moved := RelieveCongestion(nl, st, im, rel, 0, nil)
 	if moved == 0 {
 		t.Fatal("no cells moved")
 	}
@@ -86,14 +86,14 @@ func TestRelieveNoopWhenClean(t *testing.T) {
 	calc := delay.NewCalculator(nl, st, delay.Actual)
 	eng := timing.New(nl, calc, 1e6)
 	rel := New(nl, eng, im)
-	if moved := RelieveCongestion(nl, st, im, rel, eng, 0, nil); moved != 0 {
+	if moved := RelieveCongestion(nl, st, im, rel, 0, nil); moved != 0 {
 		t.Errorf("moved %d cells on a congestion-free design", moved)
 	}
 }
 
 func TestRelieveBoundedByMaxMoves(t *testing.T) {
-	nl, st, im, rel, eng := hotspotRig(t)
-	if moved := RelieveCongestion(nl, st, im, rel, eng, 3, nil); moved > 8 {
+	nl, st, im, rel := hotspotRig(t)
+	if moved := RelieveCongestion(nl, st, im, rel, 3, nil); moved > 8 {
 		t.Errorf("maxMoves ignored: %d cells moved", moved)
 	}
 }

@@ -10,8 +10,7 @@
 // The package deliberately does not import any transform package —
 // transform packages import scenario to register themselves, and the
 // engine reaches them only through the registry. internal/core wires the
-// two sides together and re-exports the moved types under their old
-// names.
+// two sides together.
 package scenario
 
 import (

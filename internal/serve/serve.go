@@ -44,11 +44,8 @@ import (
 	"sync"
 	"time"
 
-	"tps/internal/autoflow"
 	"tps/internal/cell"
 	"tps/internal/netio"
-	"tps/internal/portfolio"
-	"tps/internal/scenario"
 )
 
 // Config tunes the service.
@@ -216,45 +213,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, bodyErrCode(err), "decode request: "+err.Error())
 		return
 	}
-	j := &Job{
-		seed:  req.Seed,
-		want:  req.Workers,
-		hub:   newTraceHub(),
-		state: JobQueued,
-	}
-	if j.seed == 0 {
-		j.seed = 1
-	}
-	switch {
-	case req.Autotune != nil && len(req.Entrants) > 0:
-		writeErr(w, http.StatusBadRequest, "a job is a race or an autotune search, not both")
+	run, err := bindRun(&req)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err.Error())
 		return
-	case req.Autotune != nil:
-		spec, err := autotuneSpecFromRequest(&req, j.seed)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		j.tune = spec
-	case len(req.Entrants) > 0:
-		spec, err := raceSpecFromRequest(&req)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		j.race = spec
-	default:
-		if req.Scenario == "" {
-			writeErr(w, http.StatusBadRequest, "missing scenario script")
-			return
-		}
-		script, err := scenario.Parse(req.Scenario)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "parse scenario: "+err.Error())
-			return
-		}
-		j.script = script
 	}
+	j := &Job{run: run, want: req.Workers, hub: newTraceHub(), state: JobQueued}
 	switch {
 	case req.Design != "" && req.Netlist != "":
 		writeErr(w, http.StatusBadRequest, "give either a stored design name or an inline netlist, not both")
@@ -301,62 +265,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, SubmitResponse{JobID: j.ID, State: JobQueued})
-}
-
-// raceSpecFromRequest copies a race submission into the portfolio spec
-// the job will run and validates it, so a bad race fails at submit.
-// Per-run fields (Name, Workers, Trace) are filled in at execution time.
-func raceSpecFromRequest(req *SubmitRequest) (*portfolio.Spec, error) {
-	spec := &portfolio.Spec{
-		Objective: req.Objective,
-		Deadline:  time.Duration(req.DeadlineSec * float64(time.Second)),
-	}
-	for i, e := range req.Entrants {
-		text := e.Scenario
-		if text == "" {
-			text = req.Scenario
-		}
-		seed := e.Seed
-		if seed == 0 {
-			seed = int64(i + 1)
-		}
-		spec.Entrants = append(spec.Entrants, portfolio.Entrant{
-			Name: e.Name, Script: text, Seed: seed,
-			Bound: e.Bound, Params: e.Params,
-		})
-	}
-	return spec, spec.Validate()
-}
-
-// autotuneSpecFromRequest copies an autotune submission into the search
-// spec the job will run and validates it, so a bad search fails at
-// submit, not after queueing. Per-run fields (Name, Workers, Trace) are
-// filled in at execution time.
-func autotuneSpecFromRequest(req *SubmitRequest, defaultSeed int64) (*autoflow.Spec, error) {
-	a := req.Autotune
-	spec := &autoflow.Spec{
-		Script:      a.Scenario,
-		Objective:   a.Objective,
-		Population:  a.Population,
-		Offspring:   a.Offspring,
-		Generations: a.Generations,
-		Stall:       a.Stall,
-		Seed:        a.Seed,
-		Deadline:    time.Duration(a.DeadlineSec * float64(time.Second)),
-		Freeze:      a.Freeze,
-		Insert:      a.Insert,
-		Params:      a.Params,
-	}
-	if spec.Script == "" {
-		spec.Script = req.Scenario
-	}
-	if spec.Seed == 0 {
-		spec.Seed = defaultSeed
-	}
-	if a.Weights != nil {
-		spec.Weights = *a.Weights
-	}
-	return spec, spec.Validate()
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {

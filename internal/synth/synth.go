@@ -301,7 +301,6 @@ func (o *Optimizer) bufferNet(n *netlist.Net, bc *cell.Cell) bool {
 // (§5: applied at status > 50). Returns accepted swaps.
 func (o *Optimizer) PinSwap(maxAccepts int) int {
 	accepted, attempts := 0, 0
-	tau := o.NL.Lib.Tech.Tau
 	for _, g := range o.Eng.CriticalGates(o.Margin) {
 		if o.stopped() {
 			break
@@ -350,9 +349,8 @@ func (o *Optimizer) PinSwap(maxAccepts int) int {
 				wanted[k] = byArr[k].Net
 				prevNets[k] = byLate[k].Net
 			}
-			for k, p := range byLate {
+			for _, p := range byLate {
 				o.NL.Disconnect(p)
-				_ = k
 			}
 			for k, p := range byLate {
 				o.NL.Connect(p, wanted[k])
@@ -369,7 +367,6 @@ func (o *Optimizer) PinSwap(maxAccepts int) int {
 			}
 		}
 	}
-	_ = tau
 	return accepted
 }
 

@@ -45,7 +45,7 @@ import (
 type DesignParams = gen.Params
 
 // Metrics is a flow result: the Table 1 columns plus auxiliary measures.
-type Metrics = core.Metrics
+type Metrics = scenario.Metrics
 
 // TPSOptions tunes the TPS scenario of Figure 5.
 type TPSOptions = core.TPSOptions
@@ -61,7 +61,7 @@ type CongestionReport = congestion.Report
 
 // AnalyzerStats carries the incremental analyzers' dirty-set counters and
 // the FM partitioner's gain-structure traffic.
-type AnalyzerStats = core.AnalyzerStats
+type AnalyzerStats = scenario.AnalyzerStats
 
 // Library is the standard-cell library type.
 type Library = cell.Library
@@ -82,7 +82,7 @@ func Table1Params(i int, scale float64) DesignParams { return gen.Des(i, scale) 
 // CycleImprovementPct computes Table 1's "% cycle time impr." between an
 // SPR metrics record and a TPS one.
 func CycleImprovementPct(spr, tps Metrics) float64 {
-	return core.CycleImprovementPct(spr, tps)
+	return scenario.CycleImprovementPct(spr, tps)
 }
 
 // Scenario is a parsed scenario script: an ordered sequence of transform
@@ -204,14 +204,14 @@ func ParseAutotuneSpec(text string, resolve func(flow, script string) (string, e
 // stack. One Design owns its netlist; run exactly one flow per Design and
 // regenerate (same seed = same design) to run another.
 type Design struct {
-	ctx *core.Context
+	ctx *scenario.Context
 	gd  *gen.Design
 }
 
 // NewDesign generates a synthetic design and attaches the analyzers.
 func NewDesign(p DesignParams) *Design {
 	gd := gen.Generate(cell.Default(), p)
-	return &Design{ctx: core.NewContext(gd, p.Seed), gd: gd}
+	return &Design{ctx: scenario.NewContext(gd, p.Seed), gd: gd}
 }
 
 // Load reads a .tpn netlist and attaches the analyzers.
@@ -226,7 +226,7 @@ func Load(r io.Reader) (*Design, error) {
 	if gd.ChipW <= 0 || gd.ChipH <= 0 {
 		return nil, fmt.Errorf("tps: netlist has no chip dimensions")
 	}
-	return &Design{ctx: core.NewContext(gd, 1), gd: gd}, nil
+	return &Design{ctx: scenario.NewContext(gd, 1), gd: gd}, nil
 }
 
 // Adopt returns a race or search winner's final design
@@ -235,7 +235,7 @@ func Load(r io.Reader) (*Design, error) {
 // winner's saved .tpn, built without the text.
 func Adopt(winner *netio.State) *Design {
 	gd := winner.Fork()
-	return &Design{ctx: core.NewContext(gd, 1), gd: gd}
+	return &Design{ctx: scenario.NewContext(gd, 1), gd: gd}
 }
 
 // Save writes the design's current netlist and placement as .tpn.
@@ -262,7 +262,7 @@ func (d *Design) Period() float64 { return d.ctx.Period }
 func (d *Design) Chip() (w, h float64) { return d.ctx.ChipW, d.ctx.ChipH }
 
 // Context exposes the full analyzer bundle for advanced composition.
-func (d *Design) Context() *core.Context { return d.ctx }
+func (d *Design) Context() *scenario.Context { return d.ctx }
 
 // RunTPS executes the transformational placement and synthesis scenario
 // (Figure 5) from the bare netlist.
@@ -331,7 +331,7 @@ func (d *Design) Congestion() CongestionReport { return d.ctx.Cong.Analyze() }
 func (d *Design) Stats() AnalyzerStats { return d.ctx.AnalyzerStats() }
 
 // PhaseTimes returns the per-transform wall clock accumulated by the last
-// flow run (map key → duration; see core.Context.PhaseTimes).
+// flow run (map key → duration; see scenario.Context.PhaseTimes).
 func (d *Design) PhaseTimes() map[string]time.Duration { return d.ctx.PhaseTimes }
 
 // ClockWireLength returns the total clock-net wire length in µm.
