@@ -7,18 +7,15 @@
 package tps
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
 	"tps/internal/cell"
 	"tps/internal/clockscan"
 	"tps/internal/delay"
 	"tps/internal/gen"
 	"tps/internal/netlist"
-	"tps/internal/par"
 	"tps/internal/partition"
 	"tps/internal/place"
 	"tps/internal/sizing"
@@ -221,178 +218,6 @@ func BenchmarkFlowRuntime(b *testing.B) {
 	}
 }
 
-// ---- parallel evaluation layer ----
-
-// BenchmarkParallelAnalyzers measures the three fanned-out analyzer hot
-// paths (full timing flush, batch Steiner refresh, congestion analysis)
-// serial vs GOMAXPROCS-wide on the same design state. Sub-benchmark names
-// carry the worker count; on a ≥4-core runner the wide variant should run
-// ≥1.5× faster per op, and the layer guarantees bit-identical metrics at
-// every width (enforced here, and by TestWorkersBitIdentical on the whole
-// flow).
-func BenchmarkParallelAnalyzers(b *testing.B) {
-	p := Table1Params(5, BenchScale)
-	widths := []int{1, par.Workers()}
-	if widths[1] == 1 {
-		widths = widths[:1]
-	}
-	var base Metrics
-	for wi, w := range widths {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			d := NewDesign(p)
-			defer d.Close()
-			c := d.Context()
-			c.SetWorkers(w)
-			// Place and discretize once so every iteration measures pure
-			// analysis: invalidate everything, re-flush timing over the
-			// level-parallel path, rebuild all Steiner trees, and rasterize
-			// congestion.
-			j := 0
-			c.NL.Gates(func(g *netlist.Gate) {
-				if !g.Fixed {
-					c.NL.MoveGate(g, float64(j%40)*20, float64(j/40%40)*20)
-					j++
-				}
-			})
-			sizing.DiscretizeActual(c.NL, c.Calc)
-			c.Eng.SetMode(delay.Actual)
-			var m Metrics
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Eng.InvalidateAll()
-				c.St.InvalidateAll()
-				m = c.Evaluate("bench")
-			}
-			b.StopTimer()
-			if wi == 0 {
-				base = m
-			} else if m.WorstSlack != base.WorstSlack || m.TNS != base.TNS ||
-				m.SteinerWireUm != base.SteinerWireUm ||
-				m.HorizPeak != base.HorizPeak || m.VertPeak != base.VertPeak {
-				b.Fatalf("workers=%d metrics diverged from serial: %+v vs %+v", w, m, base)
-			}
-			b.ReportMetric(m.WorstSlack, "slack-ps")
-			b.ReportMetric(m.SteinerWireUm, "wire-um")
-		})
-	}
-}
-
-// BenchmarkParallelTransforms measures the transform execution layer:
-// the complete TPS flow — forked quadrisection, concurrent partition
-// restarts, colored Reflow/DetailedPlace windows — at worker widths 1,
-// 2, 4, and 8 on the same design. CI publishes these rows as
-// BENCH_transforms.json; on a ≥4-core runner workers=4 should run ≥2×
-// faster per op than workers=1. The layer guarantees bit-identical
-// metrics at every width, enforced here across sub-benchmarks and by
-// TestWorkersBitIdentical on the whole flow.
-func BenchmarkParallelTransforms(b *testing.B) {
-	p := Table1Params(5, BenchScale)
-	var base Metrics
-	for wi, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var m Metrics
-			for i := 0; i < b.N; i++ {
-				d := NewDesign(p)
-				d.SetWorkers(w)
-				m = d.RunTPS(DefaultTPSOptions())
-				d.Close()
-			}
-			if wi == 0 {
-				base = m
-			} else if m.WorstSlack != base.WorstSlack || m.TNS != base.TNS ||
-				m.SteinerWireUm != base.SteinerWireUm || m.AreaUm2 != base.AreaUm2 ||
-				m.RoutedWireUm != base.RoutedWireUm ||
-				m.RouteOverflows != base.RouteOverflows {
-				b.Fatalf("workers=%d metrics diverged from serial: %+v vs %+v", w, m, base)
-			}
-			b.ReportMetric(m.WorstSlack, "slack-ps")
-			b.ReportMetric(m.SteinerWireUm, "wire-um")
-		})
-	}
-}
-
-// BenchmarkIncrementalAnalyzers measures the delta-evaluation layer: the
-// cost of re-analyzing Steiner totals plus congestion after dirtying a
-// given fraction of the design, incrementally (incr: only dirty nets are
-// re-evaluated) vs from scratch (full: InvalidateAll before each pass).
-// CI publishes these rows as BENCH_analyzers.json; the acceptance bar is
-// incr ≥5× faster than full at ≤10% dirty. At 100% the analyzer's own
-// fallback kicks in, so incr≈full there by design.
-func BenchmarkIncrementalAnalyzers(b *testing.B) {
-	p := Table1Params(5, BenchScale)
-	for _, pct := range []int{1, 10, 100} {
-		for _, mode := range []string{"full", "incr"} {
-			b.Run(fmt.Sprintf("dirty=%d%%/%s", pct, mode), func(b *testing.B) {
-				d := NewDesign(p)
-				defer d.Close()
-				c := d.Context()
-				var movable []*netlist.Gate
-				j := 0
-				c.NL.Gates(func(g *netlist.Gate) {
-					if !g.Fixed {
-						movable = append(movable, g)
-						c.NL.MoveGate(g, float64(j%40)*20, float64(j/40%40)*20)
-						j++
-					}
-				})
-				for k := 0; k < 5; k++ {
-					c.Im.Subdivide()
-				}
-				// Calibrate the per-iteration move count so the *dirty net*
-				// fraction (what the analyzers bill by) matches pct: each
-				// moved gate dirties every net on its pins, so the gate
-				// fraction undershoots the net fraction.
-				_ = c.St.Total()
-				target := c.NL.NumNets() * pct / 100
-				k := 0
-				for k < len(movable) && c.St.DirtyNets() < target {
-					g := movable[k]
-					c.NL.MoveGate(g, g.X+1, g.Y)
-					k++
-				}
-				if k < 1 {
-					k = 1
-				}
-				jiggle := func(i int) {
-					for s := 0; s < k; s++ {
-						g := movable[(i*k+s)%len(movable)]
-						c.NL.MoveGate(g, g.X+float64(1-2*(i&1)), g.Y)
-					}
-				}
-				// Prime, then verify on this state that the incremental
-				// pass is bit-identical to a forced full recompute.
-				_ = c.St.Total()
-				_ = c.Cong.Analyze()
-				jiggle(0)
-				incT, incRep := c.St.Total(), c.Cong.Analyze()
-				c.St.InvalidateAll()
-				c.Cong.InvalidateAll()
-				if fullT, fullRep := c.St.Total(), c.Cong.Analyze(); incT != fullT || incRep != fullRep {
-					b.Fatalf("incremental diverged: %v/%+v vs %v/%+v", incT, incRep, fullT, fullRep)
-				}
-				var dirtyFrac float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					jiggle(i + 1)
-					if mode == "full" {
-						c.St.InvalidateAll()
-						c.Cong.InvalidateAll()
-					} else {
-						dirtyFrac = float64(c.St.DirtyNets()) / float64(c.NL.NumNets())
-					}
-					_ = c.St.Total()
-					_ = c.Cong.Analyze()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(k), "gates-moved")
-				if mode == "incr" {
-					b.ReportMetric(dirtyFrac*100, "dirty-nets-%")
-				}
-			})
-		}
-	}
-}
-
 // ---- component microbenchmarks ----
 
 func BenchmarkSteinerBuild(b *testing.B) {
@@ -495,10 +320,10 @@ func BenchmarkTPSEndToEnd(b *testing.B) {
 // refinement plus one Reflow) of netgen designs at 50k and 200k gates,
 // single-worker, with the analyzer stack attached exactly as in the real
 // flow. Gain-structure traffic (pushes, pops, stale fraction, gain
-// updates) is reported per op via the partition.Stats counters. CI
-// publishes these rows as part of BENCH_partition.json; the PR 9
-// acceptance bar is the 200k row at ≤170 s/op on the CI runner.
-// FM_SCALE_1M=1 adds a million-gate row (minutes, kept out of CI).
+// updates) is reported per op via the partition.Stats counters. It is
+// the only harness for 200k- and 1M-gate placement: perfbench's
+// place_50k workload stops at 50k gates, and CI runs no size of it.
+// FM_SCALE_1M=1 adds a million-gate row (minutes).
 func BenchmarkFMPlacementScale(b *testing.B) {
 	sizes := []int{50000, 200000}
 	if os.Getenv("FM_SCALE_1M") != "" {
@@ -530,7 +355,7 @@ func BenchmarkFMPlacementScale(b *testing.B) {
 	}
 }
 
-// ---- guard: core package type aliases stay wired ----
+// ---- metrics evaluation on a finished flow ----
 
 func BenchmarkEvaluateOnly(b *testing.B) {
 	d := NewDesign(DesignParams{NumGates: 500, Levels: 8, Seed: 4})
@@ -541,164 +366,5 @@ func BenchmarkEvaluateOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.Context().Evaluate("bench")
-	}
-}
-
-// ---- PR 7: portfolio racing ----
-
-// BenchmarkPortfolioRace measures best-of-N multi-start racing: four
-// seed variants of the TPS flow race from one forked checkpoint at
-// widths 1, 2, and 4. CI publishes these rows as BENCH_portfolio.json.
-// The winner's identity and objective are bit-identical at every width
-// (the portfolio determinism contract), enforced across sub-benchmarks;
-// on a ≥4-core runner workers=4 approaches single-run wall time while
-// evaluating four starts.
-func BenchmarkPortfolioRace(b *testing.B) {
-	opt := DefaultTPSOptions()
-	opt.SkipRouting = true
-	opt.TransformBudget = 16
-	var baseWinner string
-	var baseObj float64
-	for wi, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var winner string
-			var obj float64
-			for i := 0; i < b.N; i++ {
-				d := NewDesign(DesignParams{Name: "race", NumGates: 400, Levels: 8, Seed: 3})
-				res, err := d.Race(context.Background(), RaceSpec{
-					Name:     "bench",
-					Entrants: TPSEntrants(4, opt, 1),
-					Workers:  w,
-				})
-				d.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-				v := res.Verdicts[res.Winner]
-				winner, obj = v.Name, v.Objective
-			}
-			if wi == 0 {
-				baseWinner, baseObj = winner, obj
-			} else if winner != baseWinner || obj != baseObj {
-				b.Fatalf("workers=%d winner %s obj=%g diverged from serial %s obj=%g",
-					w, winner, obj, baseWinner, baseObj)
-			}
-			b.ReportMetric(obj, "winner-obj-ps")
-		})
-	}
-}
-
-// ---- PR 10: autoflow scenario search ----
-
-// BenchmarkAutoflowSearch measures the scenario-space search: a µ+λ
-// evolutionary loop over the TPS flow on a small design, racing every
-// generation's variants from one shared snapshot, at widths 1, 2, and
-// 4. CI publishes these rows as BENCH_autoflow.json. The winning
-// script, its objective, and the evaluation count are bit-identical at
-// every width (the autoflow determinism contract), enforced across
-// sub-benchmarks.
-func BenchmarkAutoflowSearch(b *testing.B) {
-	opt := DefaultTPSOptions()
-	opt.SkipRouting = true
-	opt.TransformBudget = 16
-	script := TPSScript(opt)
-	var baseWinner, baseScript string
-	var baseObj float64
-	var baseEvals int
-	for wi, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var res *AutotuneResult
-			for i := 0; i < b.N; i++ {
-				d := NewDesign(DesignParams{Name: "autoflow", NumGates: 400, Levels: 8, Seed: 3})
-				var err error
-				res, err = d.Autotune(context.Background(), AutotuneSpec{
-					Name:        "bench",
-					Script:      script,
-					Population:  2,
-					Offspring:   4,
-					Generations: 2,
-					Seed:        7,
-					Workers:     w,
-				})
-				d.Close()
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if wi == 0 {
-				baseWinner, baseScript = res.BestName, res.BestScript
-				baseObj, baseEvals = res.BestObjective, res.Evaluated
-			} else if res.BestName != baseWinner || res.BestScript != baseScript ||
-				res.BestObjective != baseObj || res.Evaluated != baseEvals {
-				b.Fatalf("workers=%d winner %s obj=%g evals=%d diverged from serial %s obj=%g evals=%d",
-					w, res.BestName, res.BestObjective, res.Evaluated, baseWinner, baseObj, baseEvals)
-			}
-			b.ReportMetric(res.BestObjective, "winner-obj-ps")
-			b.ReportMetric(res.BaseObjective, "baseline-obj-ps")
-			b.ReportMetric(float64(res.Evaluated), "variants-evaluated")
-		})
-	}
-}
-
-// ---- PR 8: netlist scale ----
-
-// BenchmarkNetlistScale measures the ID-indexed netlist layout at bulk
-// design sizes: the per-op cost (and allocs/op) of a complete analyzer
-// pass — timing flush, Steiner totals, congestion, delay — over a 50k-
-// and a 200k-gate design with every cache invalidated, plus — at 50k,
-// where it fits a CI budget — one full TPS status round (every
-// status-block transform executed once, step=100) reported as
-// tps-round-ms. CI publishes these rows as BENCH_netlist.json; the
-// slab/arena acceptance bar is allocs/op in the thousands (was millions
-// before the layout refactor).
-func BenchmarkNetlistScale(b *testing.B) {
-	for _, ng := range []int{50000, 200000} {
-		b.Run(fmt.Sprintf("gates=%d", ng), func(b *testing.B) {
-			d := NewDesign(DesignParams{Name: "scale", NumGates: ng, Levels: 20, Seed: 42})
-			defer d.Close()
-			c := d.Context()
-			c.SetWorkers(1)
-			j := 0
-			c.NL.Gates(func(g *netlist.Gate) {
-				if !g.Fixed {
-					c.NL.MoveGate(g, float64(j%400)*5, float64(j/400%400)*5)
-					j++
-				}
-			})
-			_ = c.Evaluate("prime")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.Eng.InvalidateAll()
-				c.St.InvalidateAll()
-				c.Cong.InvalidateAll()
-				c.Calc.InvalidateAll()
-				_ = c.Evaluate("pass")
-			}
-			b.StopTimer()
-			if ng > 50000 {
-				return
-			}
-			// One TPS status round: the real status block, run once.
-			opt := DefaultTPSOptions()
-			opt.Step = 100
-			opt.SkipRouting = true
-			sc, err := ParseScenario(TPSScript(opt))
-			if err != nil {
-				b.Fatal(err)
-			}
-			kept := sc.Blocks[:0]
-			for _, blk := range sc.Blocks {
-				if blk.Label == "status" {
-					kept = append(kept, blk)
-				}
-			}
-			sc.Blocks = kept
-			t0 := time.Now()
-			if _, err := d.RunScenario(sc); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(time.Since(t0).Milliseconds()), "tps-round-ms")
-		})
 	}
 }

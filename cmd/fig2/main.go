@@ -54,10 +54,3 @@ func main() {
 			drops[i]*100, h.TailFraction(30)*100)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

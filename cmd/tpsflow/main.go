@@ -54,7 +54,6 @@ func run() error {
 	des := flag.Int("des", 0, "use Table 1 design Des<n> (1–5) instead of -gates")
 	scale := flag.Float64("scale", 0.1, "scale factor for -des designs")
 	workers := flag.Int("workers", 0, "analyzer/transform fan-out width (0 = GOMAXPROCS; metrics are bit-identical at any width)")
-	compare := flag.Bool("compare", false, "rerun the flow at workers=1 on an identical design and print per-transform speedups (generated designs only)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the flow to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile (post-flow) to this file")
 	scenarioFile := flag.String("scenario", "", "run this scenario script instead of the built-in flows")
@@ -179,23 +178,19 @@ func run() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	runFlow := func(d *tps.Design) (tps.Metrics, error) {
-		switch {
-		case *scenarioFile != "":
-			return runScenarioFile(d, *scenarioFile)
-		case *flow == "tps":
-			return d.RunTPS(tps.DefaultTPSOptions()), nil
-		case *flow == "spr":
-			return d.RunSPR(tps.DefaultSPROptions()), nil
-		default:
-			return tps.Metrics{}, fmt.Errorf("unknown flow %q (want tps or spr)", *flow)
-		}
-	}
-
 	var m tps.Metrics
 	err = traced(*traceFile, func(tr tps.Tracer) (err error) {
 		d.SetTrace(tr)
-		m, err = runFlow(d)
+		switch {
+		case *scenarioFile != "":
+			m, err = runScenarioFile(d, *scenarioFile)
+		case *flow == "tps":
+			m = d.RunTPS(tps.DefaultTPSOptions())
+		case *flow == "spr":
+			m = d.RunSPR(tps.DefaultSPROptions())
+		default:
+			err = fmt.Errorf("unknown flow %q (want tps or spr)", *flow)
+		}
 		return err
 	})
 	if err != nil {
@@ -220,34 +215,7 @@ func run() error {
 			st.FM.Pushes, st.FM.Pops, 100*float64(st.FM.StalePops)/float64(st.FM.Pops),
 			st.FM.GainUpdates, st.FM.Compactions)
 	}
-	printPhases(d.PhaseTimes(), nil)
-
-	if *compare {
-		ref, err := makeDesign()
-		if err != nil {
-			return err
-		}
-		defer ref.Close()
-		ref.SetWorkers(1)
-		mr, err := runFlow(ref)
-		if err != nil {
-			return err
-		}
-		same := m.WorstSlack == mr.WorstSlack && m.TNS == mr.TNS &&
-			m.SteinerWireUm == mr.SteinerWireUm && m.AreaUm2 == mr.AreaUm2 &&
-			m.RoutedWireUm == mr.RoutedWireUm && m.RouteOverflows == mr.RouteOverflows
-		stSame := d.Stats() == ref.Stats()
-		fmt.Printf("     compare vs workers=1: metrics identical=%v analyzer+fm stats identical=%v\n", same, stSame)
-		same = same && stSame
-		printPhases(d.PhaseTimes(), ref.PhaseTimes())
-		if mr.CPUSeconds > 0 {
-			fmt.Printf("     speedup: %.2fx end-to-end (%.1fs → %.1fs)\n",
-				mr.CPUSeconds/m.CPUSeconds, mr.CPUSeconds, m.CPUSeconds)
-		}
-		if !same {
-			return fmt.Errorf("metrics or analyzer stats diverged between worker counts")
-		}
-	}
+	printPhases(d.PhaseTimes())
 
 	if *memprofile != "" {
 		f, err := os.Create(*memprofile)
@@ -339,9 +307,8 @@ func traced(path string, run func(tr tps.Tracer) error) error {
 	return errors.Join(runErr, tr.Err(), f.Close())
 }
 
-// printPhases prints per-transform wall clock, and speedups against a
-// reference (serial) run when ref is non-nil.
-func printPhases(pt, ref map[string]time.Duration) {
+// printPhases prints per-transform wall clock, slowest first.
+func printPhases(pt map[string]time.Duration) {
 	if len(pt) == 0 {
 		return
 	}
@@ -353,9 +320,6 @@ func printPhases(pt, ref map[string]time.Duration) {
 	fmt.Printf("     transforms:")
 	for _, n := range names {
 		fmt.Printf(" %s=%.2fs", n, pt[n].Seconds())
-		if ref != nil && pt[n] > 0 {
-			fmt.Printf("(%.2fx)", ref[n].Seconds()/pt[n].Seconds())
-		}
 	}
 	fmt.Println()
 }

@@ -84,8 +84,8 @@ func Des(i int, scale float64) Params {
 		NumGates:           ng,
 		RegFraction:        r.reg,
 		Levels:             r.levels,
-		NumPI:              maxInt(8, ng/160),
-		NumPO:              maxInt(8, ng/200),
+		NumPI:              max(8, ng/160),
+		NumPO:              max(8, ng/200),
 		LocalBias:          0.62,
 		HubFraction:        0.06,
 		SpareRegFraction:   0.05,
@@ -94,13 +94,6 @@ func Des(i int, scale float64) Params {
 		PeriodScale:        0.92,
 		Seed:               int64(1000 + i),
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Design is a generated netlist plus its physical frame and constraint.

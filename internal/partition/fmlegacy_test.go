@@ -6,18 +6,18 @@ package partition
 // test-only as the behavioral reference. FuzzFMPassEquivalence (and the
 // deterministic TestFMPassEquivalenceRandom sweep) pin the production
 // engine's move sequence, improvement flag, and final partition to it
-// bit for bit across weight distributions and LookAhead settings.
+// bit for bit across weight distributions and hypergraph shapes.
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 )
 
-// fmPassReference is the pre-PR9 fmPass, verbatim except that accepted
-// moves are recorded into *seq for the differential tests.
-func fmPassReference(h *Hypergraph, part []int8, inc [][]int32, lo, hi float64, lookAhead bool, seq *[]fmMove) bool {
+// fmPassReference is the legacy fmPass with look-ahead always on,
+// otherwise verbatim except that accepted moves are recorded into *seq
+// for the differential tests.
+func fmPassReference(h *Hypergraph, part []int8, inc [][]int32, lo, hi float64, seq *[]fmMove) bool {
 	n := h.NumV
 	cnt := make([][2]int32, len(h.Nets))
 	for i, net := range h.Nets {
@@ -54,7 +54,7 @@ func fmPassReference(h *Hypergraph, part []int8, inc [][]int32, lo, hi float64, 
 		tiePlus  uint8 = 1
 		tieMinus uint8 = 2
 	)
-	var tieCode []uint8
+	tieCode := make([]uint8, 2*len(h.Nets))
 	setCode := func(ni int32) {
 		c := &cnt[ni]
 		for s := 0; s < 2; s++ {
@@ -68,16 +68,10 @@ func fmPassReference(h *Hypergraph, part []int8, inc [][]int32, lo, hi float64, 
 			tieCode[2*int(ni)+s] = b
 		}
 	}
-	if lookAhead {
-		tieCode = make([]uint8, 2*len(h.Nets))
-		for ni := range h.Nets {
-			setCode(int32(ni))
-		}
+	for ni := range h.Nets {
+		setCode(int32(ni))
 	}
 	tieOf := func(v int32) float64 {
-		if !lookAhead {
-			return 0
-		}
 		var t float64
 		s := int(part[v])
 		for _, ni := range inc[v] {
@@ -153,9 +147,7 @@ func fmPassReference(h *Hypergraph, part []int8, inc [][]int32, lo, hi float64, 
 			}
 			cnt[ni][from]--
 			cnt[ni][to]++
-			if lookAhead {
-				setCode(ni)
-			}
+			setCode(ni)
 			if cnt[ni][from] == 0 {
 				for _, u := range net {
 					if u != v && !locked[u] && h.Fixed[u] == -1 {
@@ -251,7 +243,7 @@ func smallNet(rng *rand.Rand, numV int) []int32 {
 // legacy reference from the same state and demands identical move
 // sequences, improvement flags, and partitions after every pass. dense
 // selects randomFMHypergraph's dense shape (8–40 free vertices).
-func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, lookAhead, dense bool) {
+func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, dense bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 8 + rng.Intn(120)
@@ -286,22 +278,22 @@ func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, lookAhead, dense b
 
 	for pass := 0; pass < 3; pass++ {
 		var refSeq []fmMove
-		refImp := fmPassReference(h, partRef, incRef, lo, hi, lookAhead, &refSeq)
-		imp := fmPass(h, part, lo, hi, lookAhead, sc)
+		refImp := fmPassReference(h, partRef, incRef, lo, hi, &refSeq)
+		imp := fmPass(h, part, lo, hi, sc)
 		if imp != refImp {
-			t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d: improved=%v reference=%v", seed, weightMode, lookAhead, dense, pass, imp, refImp)
+			t.Fatalf("seed=%d mode=%d dense=%v pass=%d: improved=%v reference=%v", seed, weightMode, dense, pass, imp, refImp)
 		}
 		if len(sc.seq) != len(refSeq) {
-			t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d: %d moves vs reference %d", seed, weightMode, lookAhead, dense, pass, len(sc.seq), len(refSeq))
+			t.Fatalf("seed=%d mode=%d dense=%v pass=%d: %d moves vs reference %d", seed, weightMode, dense, pass, len(sc.seq), len(refSeq))
 		}
 		for i := range refSeq {
 			if sc.seq[i] != refSeq[i] {
-				t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d move=%d: %+v vs reference %+v", seed, weightMode, lookAhead, dense, pass, i, sc.seq[i], refSeq[i])
+				t.Fatalf("seed=%d mode=%d dense=%v pass=%d move=%d: %+v vs reference %+v", seed, weightMode, dense, pass, i, sc.seq[i], refSeq[i])
 			}
 		}
 		for v := range part {
 			if part[v] != partRef[v] {
-				t.Fatalf("seed=%d mode=%d la=%v dense=%v pass=%d: part[%d]=%d vs reference %d", seed, weightMode, lookAhead, dense, pass, v, part[v], partRef[v])
+				t.Fatalf("seed=%d mode=%d dense=%v pass=%d: part[%d]=%d vs reference %d", seed, weightMode, dense, pass, v, part[v], partRef[v])
 			}
 		}
 		if !imp {
@@ -315,17 +307,16 @@ func fmEquivCheck(t *testing.T, seed int64, weightMode uint8, lookAhead, dense b
 
 // FuzzFMPassEquivalence pins the bucketed gain engine to the legacy heap
 // reference: identical move sequence, improvement flag, final partition,
-// and cut, across uniform/skewed/integer net weights, LookAhead on/off,
-// and the sparse and dense hypergraph shapes.
+// and cut, across uniform/skewed/integer net weights and the sparse and
+// dense hypergraph shapes.
 func FuzzFMPassEquivalence(f *testing.F) {
-	for s := int64(1); s <= 4; s++ {
-		f.Add(s, uint8(s-1), s%2 == 0, false)
+	for _, dense := range []bool{false, true} {
+		for s := int64(1); s <= 4; s++ {
+			f.Add(s, uint8(s-1), dense)
+		}
 	}
-	for s := int64(1); s <= 4; s++ {
-		f.Add(s, uint8(s-1), true, true)
-	}
-	f.Fuzz(func(t *testing.T, seed int64, weightMode uint8, lookAhead, dense bool) {
-		fmEquivCheck(t, seed, weightMode, lookAhead, dense)
+	f.Fuzz(func(t *testing.T, seed int64, weightMode uint8, dense bool) {
+		fmEquivCheck(t, seed, weightMode, dense)
 	})
 }
 
@@ -335,8 +326,7 @@ func TestFMPassEquivalenceRandom(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		for mode := uint8(0); mode < 4; mode++ {
 			for _, dense := range []bool{false, true} {
-				fmEquivCheck(t, seed, mode, true, dense)
-				fmEquivCheck(t, seed, mode, false, dense)
+				fmEquivCheck(t, seed, mode, dense)
 			}
 		}
 	}
@@ -363,28 +353,26 @@ func BenchmarkFMPass(b *testing.B) {
 		}},
 	}
 	for _, shape := range shapes {
-		for _, la := range []bool{false, true} {
-			b.Run(fmt.Sprintf("shape=%s/lookahead=%v", shape.name, la), func(b *testing.B) {
-				rng := rand.New(rand.NewSource(7))
-				h := normalize(shape.h(rng))
-				base := make([]int8, h.NumV)
-				for v := range base {
-					base[v] = int8(rng.Intn(2))
-				}
-				totalArea := float64(h.NumV)
-				lo, hi := totalArea*0.4, totalArea*0.6
-				sc := &fmScratch{}
-				sc.buildIncidence(h)
-				part := make([]int8, h.NumV)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					copy(part, base)
-					fmPass(h, part, lo, hi, la, sc)
-				}
-				st := sc.stats
-				b.ReportMetric(float64(st.Pushes)/float64(b.N), "pushes/op")
-				b.ReportMetric(float64(st.Pops)/float64(b.N), "pops/op")
-			})
-		}
+		b.Run("shape="+shape.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(7))
+			h := normalize(shape.h(rng))
+			base := make([]int8, h.NumV)
+			for v := range base {
+				base[v] = int8(rng.Intn(2))
+			}
+			totalArea := float64(h.NumV)
+			lo, hi := totalArea*0.4, totalArea*0.6
+			sc := &fmScratch{}
+			sc.buildIncidence(h)
+			part := make([]int8, h.NumV)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(part, base)
+				fmPass(h, part, lo, hi, sc)
+			}
+			st := sc.stats
+			b.ReportMetric(float64(st.Pushes)/float64(b.N), "pushes/op")
+			b.ReportMetric(float64(st.Pops)/float64(b.N), "pops/op")
+		})
 	}
 }

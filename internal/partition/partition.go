@@ -1,8 +1,8 @@
 // Package partition implements the min-cut bipartitioner underneath the
 // Partitioner transform of §4.1: multilevel coarsening (heavy-edge style
 // matching, refs [2,13]) with Fiduccia–Mattheyses refinement at every
-// level, optionally tie-broken by Krishnamurthy-style look-ahead gains
-// (ref [4]). Vertices carry areas; nets carry weights (which is how the
+// level, tie-broken by Krishnamurthy-style look-ahead gains (ref [4]).
+// Vertices carry areas; nets carry weights (which is how the
 // logical-effort net weighting of §4.3 and the clock/scan schedule of §4.5
 // influence placement). Fixed vertices model projected terminals.
 package partition
@@ -108,8 +108,6 @@ type Options struct {
 	MaxPasses int
 	// CoarsenTo stops coarsening at/below this vertex count.
 	CoarsenTo int
-	// LookAhead enables Krishnamurthy second-level gain tie-breaking.
-	LookAhead bool
 	// Workers bounds how many initial-partition restarts run concurrently.
 	// Each restart draws from its own seed-derived RNG stream and the
 	// winner is picked by (cut, restart index), so the result is identical
@@ -135,7 +133,6 @@ func DefaultOptions(seed int64) Options {
 		Restarts:   4,
 		MaxPasses:  4,
 		CoarsenTo:  120,
-		LookAhead:  true,
 	}
 }
 
@@ -728,9 +725,6 @@ func grown[T any](s []T, n int) []T {
 func bitGet(b []uint64, i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
 func bitSet(b []uint64, i int32)      { b[i>>6] |= 1 << (uint32(i) & 63) }
 
-// zeroTie is the tie evaluator when look-ahead is disabled.
-func zeroTie(int32) float64 { return 0 }
-
 // fmMaxBuckets caps the bucket count so degenerate weight distributions
 // cannot blow up the dense bucket array; wider ("big") buckets stay exact
 // through the within-bucket heap order.
@@ -950,7 +944,7 @@ func refine(h *Hypergraph, part []int8, opt Options, sc *fmScratch) {
 	hi := target + totalArea*opt.Tolerance
 
 	for pass := 0; pass < opt.MaxPasses; pass++ {
-		if !fmPass(h, part, lo, hi, opt.LookAhead, sc) {
+		if !fmPass(h, part, lo, hi, sc) {
 			break
 		}
 	}
@@ -977,7 +971,7 @@ func refine(h *Hypergraph, part []int8, opt Options, sc *fmScratch) {
 //     contributes the code it had before that change.
 //   - Compaction removes only stale entries, which no pop sequence can
 //     observe, at a deterministic (size-based) trigger.
-func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmScratch) bool {
+func fmPass(h *Hypergraph, part []int8, lo, hi float64, sc *fmScratch) bool {
 	n := h.NumV
 	nn := len(h.Nets)
 	inc := &sc.inc
@@ -1118,13 +1112,11 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 		}
 		nt.code = code
 	}
-	if lookAhead {
-		// Codes start zero from the fmNet reset above; only in-band nets
-		// get a build (a disabled caller pays nothing at all).
-		for ni := int32(0); ni < int32(nn); ni++ {
-			if inBand(nets[ni].cnt[0], nets[ni].cnt[1]) {
-				setCode(ni)
-			}
+	// Codes start zero from the fmNet reset above; only in-band nets get
+	// a build.
+	for ni := int32(0); ni < int32(nn); ni++ {
+		if inBand(nets[ni].cnt[0], nets[ni].cnt[1]) {
+			setCode(ni)
 		}
 	}
 	// cseq numbers the pass's code changes; a net records the number of
@@ -1159,8 +1151,7 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 		return t
 	}
 	// evalTie is the tie evaluator the pass actually calls: the bare
-	// replay walk on the production path, a constant zero when look-ahead
-	// is off (tieCode is not even built then), and a differential-checked
+	// replay walk on the production path, and a differential-checked
 	// variant only under the tieCheck test hook. The check compares each
 	// replayed tie with the reference lookAheadGain recorded into refTie
 	// at the vertex's last gain update (or before the first move, for the
@@ -1168,9 +1159,7 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 	// hook's global load never enters the hot closures.
 	evalTie := tieOf
 	var refTie []float64
-	if !lookAhead {
-		evalTie = zeroTie
-	} else if tieCheck {
+	if tieCheck {
 		refTie = make([]float64, n)
 		for v := int32(0); v < int32(n); v++ {
 			refTie[v] = lookAheadGain(inc, nets, part, v)
@@ -1273,7 +1262,7 @@ func fmPass(h *Hypergraph, part []int8, lo, hi float64, lookAhead bool, sc *fmSc
 			}
 			nt.cnt[from] = cf - 1
 			nt.cnt[to] = ct + 1
-			if lookAhead && (inBand(cf, ct) || inBand(cf-1, ct+1)) {
+			if inBand(cf, ct) || inBand(cf-1, ct+1) {
 				// The net's codes change (inBand is symmetric in its
 				// arguments, so the pre/post test needs no side mapping):
 				// keep the old ones for the flush's replay.

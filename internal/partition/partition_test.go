@@ -205,20 +205,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestLookAheadNoWorse(t *testing.T) {
-	h := twoClusters(60, 6, 13)
-	optNo := DefaultOptions(6)
-	optNo.LookAhead = false
-	optYes := DefaultOptions(6)
-	optYes.LookAhead = true
-	cutNo := Bipartition(h, optNo).Cut
-	cutYes := Bipartition(h, optYes).Cut
-	// Look-ahead is a tie-break; allow small noise but catch regressions.
-	if cutYes > cutNo*1.5+5 {
-		t.Errorf("look-ahead cut %g much worse than plain %g", cutYes, cutNo)
-	}
-}
-
 func TestDegenerateInputs(t *testing.T) {
 	// No nets.
 	h := &Hypergraph{NumV: 5}

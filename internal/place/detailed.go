@@ -343,10 +343,10 @@ func (s *windowScorer) reset(win []*netlist.Gate, opt DetailedOptions) {
 
 	nn := len(s.nets)
 	s.words = (nn + 63) / 64
-	s.slotNets = grow(s.slotNets, len(win)*s.words)
+	s.slotNets = grown(s.slotNets, len(win)*s.words)
 	clear(s.slotNets)
-	s.acc = grow(s.acc, s.words)
-	s.fixLo, s.fixHi, s.dy = grow(s.fixLo, nn), grow(s.fixHi, nn), grow(s.dy, nn)
+	s.acc = grown(s.acc, s.words)
+	s.fixLo, s.fixHi, s.dy = grown(s.fixLo, nn), grown(s.fixHi, nn), grown(s.dy, nn)
 	s.winOff = append(s.winOff[:0], 0)
 	s.winGate = s.winGate[:0]
 	for k, n := range s.nets {
@@ -364,18 +364,11 @@ func (s *windowScorer) reset(win []*netlist.Gate, opt DetailedOptions) {
 		s.fixLo[k], s.fixHi[k], s.dy[k] = lo, hi, maxY-minY
 		s.winOff = append(s.winOff, int32(len(s.winGate)))
 	}
-	s.contrib = grow(s.contrib, nn)
-	s.newVals = grow(s.newVals, nn)
+	s.contrib = grown(s.contrib, nn)
+	s.newVals = grown(s.newVals, nn)
 	for k := range s.nets {
 		s.contrib[k] = s.netScore(k)
 	}
-}
-
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
 }
 
 // netScore computes weight · HPWL of window net k: its fixed-pin box

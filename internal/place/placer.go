@@ -198,7 +198,7 @@ func (p *Placer) quadrisect(gates []*netlist.Gate, x0, y0, w, h float64, salt in
 	// only y coordinates, which stage 1 never assigns), so they fork too.
 	var halfMoves [2][]gateMove
 	halves := [2][]*netlist.Gate{left, right}
-	par.ForEach(minInt(workers, 2), 2, func(hi int) {
+	par.ForEach(min(workers, 2), 2, func(hi int) {
 		half := halves[hi]
 		if len(half) == 0 {
 			return
@@ -606,13 +606,6 @@ func (p *Placer) reflowSweep(ax axis) {
 		par.ForEach(w, len(class), func(k int) { runLane(class[k]) })
 	}
 	p.NL.EndMoveBatch()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func (p *Placer) cellCenter(flat int) (float64, float64) {

@@ -19,14 +19,7 @@ func forScenario(c *scenario.Context) *Placer {
 // after every partition advance; hand-scheduled flows (the golden-test
 // references) must call it at the same points to stay stat-identical.
 func PublishFMStats(c *scenario.Context, p *Placer) {
-	st := p.FMStats()
-	c.FM = scenario.FMStats{
-		Pushes:      st.Pushes,
-		Pops:        st.Pops,
-		StalePops:   st.StalePops,
-		GainUpdates: st.GainUpdates,
-		Compactions: st.Compactions,
-	}
+	c.FM = p.FMStats()
 }
 
 func init() {

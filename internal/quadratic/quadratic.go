@@ -160,7 +160,7 @@ func Place(nl *netlist.Netlist, chipW, chipH float64, opt Options) {
 		axW = 1
 	}
 	var xs, ys []float64
-	par.ForEach(minInt(opt.workers(), 2), 2, func(axis int) {
+	par.ForEach(min(opt.workers(), 2), 2, func(axis int) {
 		axOpt := opt
 		axOpt.Workers = axW
 		if axis == 0 {
@@ -361,13 +361,6 @@ func spread(nl *netlist.Netlist, gates []*netlist.Gate, w, h float64, opt Option
 func jitter(seed int64, id, c int, span float64) float64 {
 	u := float64(uint64(par.DeriveSeed(seed, int64(id), int64(c)))&0xffff)/65535 - 0.5
 	return u * span * 0.8
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func clamp(v, lo, hi float64) float64 {

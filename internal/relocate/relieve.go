@@ -3,8 +3,6 @@ package relocate
 import (
 	"tps/internal/congestion"
 	"tps/internal/image"
-	"tps/internal/netlist"
-	"tps/internal/steiner"
 )
 
 // RelieveCongestion is the congestion-elimination transform sketched in §1: "a
@@ -14,11 +12,13 @@ import (
 // takes its incident wiring along, lowering the local crossing counts.
 // The timing engine (inside the relocator) keeps critical cells pinned.
 // Returns the number of cells moved.
+// cong is the design's congestion analyzer over im; its Analyze refreshes
+// WireUsed on the bins before the hot spots are ranked.
 // stop, when non-nil, is polled between hot-spot bins (safe commit
 // points); a non-nil return stops the pass with the moves so far kept.
-func RelieveCongestion(nl *netlist.Netlist, st *steiner.Cache, im *image.Image,
+func RelieveCongestion(cong *congestion.Analyzer, im *image.Image,
 	rel *Relocator, maxMoves int, stop func() error) int {
-	congestion.Analyze(nl, st, im) // refresh WireUsed on the bins
+	cong.Analyze()
 
 	type hot struct {
 		flat     int

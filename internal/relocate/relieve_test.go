@@ -1,6 +1,7 @@
 package relocate
 
 import (
+	"slices"
 	"testing"
 
 	"tps/internal/cell"
@@ -61,7 +62,7 @@ func TestRelieveReducesOverflow(t *testing.T) {
 	if before.OverflowEdges == 0 {
 		t.Fatal("setup error: no overflow to relieve")
 	}
-	moved := RelieveCongestion(nl, st, im, rel, 0, nil)
+	moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), im, rel, 0, nil)
 	if moved == 0 {
 		t.Fatal("no cells moved")
 	}
@@ -86,14 +87,56 @@ func TestRelieveNoopWhenClean(t *testing.T) {
 	calc := delay.NewCalculator(nl, st, delay.Actual)
 	eng := timing.New(nl, calc, 1e6)
 	rel := New(nl, eng, im)
-	if moved := RelieveCongestion(nl, st, im, rel, 0, nil); moved != 0 {
+	if moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), im, rel, 0, nil); moved != 0 {
 		t.Errorf("moved %d cells on a congestion-free design", moved)
 	}
 }
 
 func TestRelieveBoundedByMaxMoves(t *testing.T) {
 	nl, st, im, rel := hotspotRig(t)
-	if moved := RelieveCongestion(nl, st, im, rel, 3, nil); moved > 8 {
+	if moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), im, rel, 3, nil); moved > 8 {
 		t.Errorf("maxMoves ignored: %d cells moved", moved)
 	}
+}
+
+// TestRelieveLeavesAnalyzerFresh runs the relief on a congestion analyzer
+// and requires the analyzer's next, incremental report and bin wiring to
+// equal a fresh serial congestion.Analyze of the moved design: an
+// analyzer that missed the relocator's moves would still report the
+// wiring from before them.
+func TestRelieveLeavesAnalyzerFresh(t *testing.T) {
+	nl, st, im, rel := hotspotRig(t)
+	cong := congestion.NewAnalyzer(nl, st, im)
+	defer cong.Close()
+	cong.FullThreshold = 1 // keep every re-analysis on the incremental path
+	if moved := RelieveCongestion(cong, im, rel, 0, nil); moved == 0 {
+		t.Fatal("no cells moved")
+	}
+	passes := cong.IncrementalPasses
+	got := cong.Analyze()
+	if cong.IncrementalPasses != passes+1 {
+		t.Fatal("re-analysis after the relief was not incremental")
+	}
+	gotH, gotV := wireUsed(im)
+	want := congestion.Analyze(nl, st, im)
+	wantH, wantV := wireUsed(im)
+	if got != want {
+		t.Errorf("analyzer report %+v, fresh Analyze %+v", got, want)
+	}
+	if !slices.Equal(gotH, wantH) || !slices.Equal(gotV, wantV) {
+		t.Error("analyzer bin wiring differs from a fresh Analyze")
+	}
+}
+
+// wireUsed returns the bins' horizontal and vertical wiring demand in
+// row-major order.
+func wireUsed(im *image.Image) (h, v []float64) {
+	for j := 0; j < im.NY; j++ {
+		for i := 0; i < im.NX; i++ {
+			b := im.At(i, j)
+			h = append(h, b.WireUsedH)
+			v = append(v, b.WireUsedV)
+		}
+	}
+	return h, v
 }

@@ -36,7 +36,7 @@ func init() {
 			{Key: "moves", Kind: scenario.ParamInt, Lo: 8, Hi: 128},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			n := RelieveCongestion(c.NL, c.St, c.Im, ForScenario(c), a.Int("moves", 32), c.Interrupted)
+			n := RelieveCongestion(c.Cong, c.Im, ForScenario(c), a.Int("moves", 32), c.Interrupted)
 			c.Logf("status %3d: congestion relocation moved %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},

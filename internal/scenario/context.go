@@ -26,6 +26,7 @@ import (
 	"tps/internal/image"
 	"tps/internal/netlist"
 	"tps/internal/par"
+	"tps/internal/partition"
 	"tps/internal/steiner"
 	"tps/internal/timing"
 )
@@ -97,7 +98,7 @@ type Context struct {
 	// the placement transforms after each partition/reflow. The counters
 	// are deterministic and worker-invariant, so they participate in the
 	// AnalyzerStats bit-identity contract.
-	FM FMStats
+	FM partition.Stats
 
 	// Accepts and Rejects count protected-step outcomes for the run.
 	Accepts, Rejects int
@@ -221,21 +222,10 @@ type AnalyzerStats struct {
 	CongestionIncrementalPasses int
 	// TimingRecomputes counts incremental timing node recomputations.
 	TimingRecomputes int
-	// FM carries the placement partitioner's gain-structure traffic (PR
-	// 9's bucketed FM engine): pushes/pops through the bucket queue, stale
-	// pops discarded, neighbor gain updates, and live-entry compactions.
-	FM FMStats
-}
-
-// FMStats mirrors partition.Stats without importing it (scenario stays
-// free of transform-package dependencies). All counters are deterministic
-// functions of the design and flow, identical at any worker count.
-type FMStats struct {
-	Pushes      uint64
-	Pops        uint64
-	StalePops   uint64
-	GainUpdates uint64
-	Compactions uint64
+	// FM carries the placement partitioner's gain-structure traffic:
+	// pushes/pops through the bucket queue, stale pops discarded, neighbor
+	// gain updates, and live-entry compactions.
+	FM partition.Stats
 }
 
 // AnalyzerStats returns the current incremental-analyzer counters.

@@ -61,9 +61,6 @@ type Config struct {
 	// least one worker, so the budget can oversubscribe under full
 	// load rather than stall.
 	Workers int
-	// Lib is the cell library netlists are parsed against (default
-	// cell.Default()).
-	Lib *cell.Library
 }
 
 // Server is the placement service. It implements http.Handler.
@@ -101,12 +98,9 @@ func New(cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Lib == nil {
-		cfg.Lib = cell.Default()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg: cfg, lib: cfg.Lib,
+		cfg: cfg, lib: cell.Default(),
 		baseCtx: ctx, cancelAll: cancel,
 		jobs:  map[string]*Job{},
 		queue: make(chan *Job, cfg.QueueDepth),

@@ -170,15 +170,7 @@ func (e *Engine) relevel() {
 	firstBuild := e.level == nil
 	oldNP := len(e.pinOf)
 	np := e.nl.NumPins()
-	e.arr = grow(e.arr, np)
-	e.req = grow(e.req, np)
-	e.late = grow(e.late, np)
-	e.level = growI32(e.level, np)
-	e.outPin = growI32(e.outPin, np)
-	e.flags = growFlags(e.flags, np)
-	e.inPendArr = growBool(e.inPendArr, np)
-	e.inPendReq = growBool(e.inPendReq, np)
-	e.pinOf = growPins(e.pinOf, np)
+	e.growPinArrays(np)
 
 	for i := range e.flags {
 		e.flags[i] = 0
@@ -1089,16 +1081,7 @@ func (e *Engine) GateAdded(g *netlist.Gate) {
 		return // the next relevel registers (and marks) the pins
 	}
 	oldNP := len(e.pinOf)
-	np := e.nl.NumPins()
-	e.arr = grow(e.arr, np)
-	e.req = grow(e.req, np)
-	e.late = grow(e.late, np)
-	e.level = growI32(e.level, np)
-	e.outPin = growI32(e.outPin, np)
-	e.flags = growFlags(e.flags, np)
-	e.inPendArr = growBool(e.inPendArr, np)
-	e.inPendReq = growBool(e.inPendReq, np)
-	e.pinOf = growPins(e.pinOf, np)
+	e.growPinArrays(e.nl.NumPins())
 	tau := e.nl.Lib.Tech.Tau
 	zid := int32(0)
 	if z := g.Output(); z != nil {
@@ -1178,53 +1161,29 @@ func (e *Engine) GateRemoved(g *netlist.Gate) {
 
 // ---- small helpers ----
 
-// The grow helpers extend pin-indexed arrays with amortized doubling:
-// GateAdded grows them a few pins at a time, so exact-fit reallocation
-// would copy the whole design per added gate. The reserve tail past len is
-// zero (make zeroes the full capacity and nothing ever writes past len),
+// growPinArrays sizes every pin-indexed array to np pins.
+func (e *Engine) growPinArrays(np int) {
+	e.arr = grow(e.arr, np)
+	e.req = grow(e.req, np)
+	e.late = grow(e.late, np)
+	e.level = grow(e.level, np)
+	e.outPin = grow(e.outPin, np)
+	e.flags = grow(e.flags, np)
+	e.inPendArr = grow(e.inPendArr, np)
+	e.inPendReq = grow(e.inPendReq, np)
+	e.pinOf = grow(e.pinOf, np)
+}
+
+// grow extends a pin-indexed array with amortized doubling: GateAdded
+// grows the arrays a few pins at a time, so exact-fit reallocation would
+// copy the whole design per added gate. The reserve tail past len is zero
+// (make zeroes the full capacity and nothing ever writes past len),
 // matching what a fresh exact-size array would hold.
-
-func grow(s []float64, n int) []float64 {
+func grow[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		return s[:n]
 	}
-	out := make([]float64, n, max(n, 2*cap(s)))
-	copy(out, s)
-	return out
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]int32, n, max(n, 2*cap(s)))
-	copy(out, s)
-	return out
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]bool, n, max(n, 2*cap(s)))
-	copy(out, s)
-	return out
-}
-
-func growFlags(s []pinFlag, n int) []pinFlag {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]pinFlag, n, max(n, 2*cap(s)))
-	copy(out, s)
-	return out
-}
-
-func growPins(s []*netlist.Pin, n int) []*netlist.Pin {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]*netlist.Pin, n, max(n, 2*cap(s)))
+	out := make([]T, n, max(n, 2*cap(s)))
 	copy(out, s)
 	return out
 }

@@ -159,12 +159,6 @@ func ParseRaceSpec(text string, resolve func(flow, script string) (string, error
 	return portfolio.ParseSpec(text, resolve)
 }
 
-// TPSEntrants builds a seed-varied family of TPS entrants — the
-// quickest useful portfolio: same script, seeds baseSeed…baseSeed+n−1.
-func TPSEntrants(n int, opt TPSOptions, baseSeed int64) []RaceEntrant {
-	return core.TPSEntrants(n, opt, baseSeed)
-}
-
 // AutotuneSpec configures an autoflow search: a base scenario script, an
 // objective, the µ+λ loop shape, mutation weights, frozen steps, and the
 // parameter domains mutation may draw from. See internal/autoflow.
