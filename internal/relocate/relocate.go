@@ -8,8 +8,6 @@
 package relocate
 
 import (
-	"container/heap"
-	"math"
 	"sort"
 
 	"tps/internal/image"
@@ -41,6 +39,15 @@ type Relocator struct {
 	valid    bool
 	indexNX  int
 	indexNY  int
+
+	// augment's search scratch, reused across calls: dist and prev hold a
+	// bin's state only while seen[bin] == epoch.
+	dist  []float64
+	prev  []int32
+	seen  []uint32
+	epoch uint32
+	heap  pathHeap
+	path  []int
 }
 
 // New returns a relocator with a safe default margin, subscribed to
@@ -164,17 +171,49 @@ type pathNode struct {
 	flat int
 }
 
-type pathPQ []pathNode
+// pathHeap is a typed min-heap on cost. Its sifts make the comparisons
+// container/heap makes with Less = cost <, in the same order, so bins of
+// equal cost pop in the same order; it boxes nothing, and it moves a hole
+// instead of swapping.
+type pathHeap []pathNode
 
-func (p pathPQ) Len() int            { return len(p) }
-func (p pathPQ) Less(i, j int) bool  { return p[i].cost < p[j].cost }
-func (p pathPQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *pathPQ) Push(x interface{}) { *p = append(*p, x.(pathNode)) }
-func (p *pathPQ) Pop() interface{} {
-	n := len(*p) - 1
-	v := (*p)[n]
-	*p = (*p)[:n]
-	return v
+func (h *pathHeap) push(x pathNode) {
+	a := append(*h, x)
+	j := len(a) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !(x.cost < a[i].cost) {
+			break
+		}
+		a[j] = a[i]
+		j = i
+	}
+	a[j] = x
+	*h = a
+}
+
+func (h *pathHeap) pop() pathNode {
+	a := *h
+	n := len(a) - 1
+	top, x := a[0], a[n]
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && a[j2].cost < a[j].cost {
+			j = j2
+		}
+		if !(a[j].cost < x.cost) {
+			break
+		}
+		a[i] = a[j]
+		i = j
+	}
+	a[i] = x
+	*h = a[:n]
+	return top
 }
 
 // augment finds the min-cost path from the source bin to the nearest bin
@@ -183,21 +222,25 @@ func (p *pathPQ) Pop() interface{} {
 // false when no augmenting path or movable cell exists.
 func (r *Relocator) augment(si, sj int) bool {
 	nx, ny := r.Im.NX, r.Im.NY
-	n := nx * ny
-	dist := make([]float64, n)
-	prev := make([]int32, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
+	if n := nx * ny; len(r.seen) != n {
+		r.dist = make([]float64, n)
+		r.prev = make([]int32, n)
+		r.seen = make([]uint32, n)
+	}
+	r.epoch++
+	if r.epoch == 0 {
+		clear(r.seen)
+		r.epoch = 1
 	}
 	start := sj*nx + si
-	dist[start] = 0
-	h := &pathPQ{{0, start}}
+	r.seen[start], r.dist[start], r.prev[start] = r.epoch, 0, -1
+	h := r.heap[:0]
+	h.push(pathNode{0, start})
 	goal := -1
 	stepCost := r.Im.BinW() + r.Im.BinH()
-	for h.Len() > 0 {
-		it := heap.Pop(h).(pathNode)
-		if it.cost > dist[it.flat] {
+	for len(h) > 0 {
+		it := h.pop()
+		if it.cost > r.dist[it.flat] {
 			continue
 		}
 		ci, cj := it.flat%nx, it.flat/nx
@@ -213,22 +256,23 @@ func (r *Relocator) augment(si, sj int) bool {
 				continue
 			}
 			tf := tj*nx + ti
-			if nd := it.cost + stepCost; nd < dist[tf] {
-				dist[tf] = nd
-				prev[tf] = int32(it.flat)
-				heap.Push(h, pathNode{nd, tf})
+			if nd := it.cost + stepCost; r.seen[tf] != r.epoch || nd < r.dist[tf] {
+				r.seen[tf], r.dist[tf], r.prev[tf] = r.epoch, nd, int32(it.flat)
+				h.push(pathNode{nd, tf})
 			}
 		}
 	}
+	r.heap = h
 	if goal < 0 {
 		return false
 	}
 
 	// Collect the path source→goal.
-	var path []int
-	for at := goal; at != -1; at = int(prev[at]) {
+	path := r.path[:0]
+	for at := goal; at != -1; at = int(r.prev[at]) {
 		path = append(path, at)
 	}
+	r.path = path
 	// path is goal..start; reverse to start..goal.
 	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 		path[i], path[j] = path[j], path[i]

@@ -1,6 +1,8 @@
 package relocate
 
 import (
+	"container/heap"
+	"math/rand"
 	"testing"
 
 	"tps/internal/cell"
@@ -155,4 +157,41 @@ func absf(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// refPathPQ is augment's queue before pathHeap: pathNode through
+// container/heap.
+type refPathPQ []pathNode
+
+func (p refPathPQ) Len() int           { return len(p) }
+func (p refPathPQ) Less(i, j int) bool { return p[i].cost < p[j].cost }
+func (p refPathPQ) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
+func (p *refPathPQ) Push(x any)        { *p = append(*p, x.(pathNode)) }
+func (p *refPathPQ) Pop() any {
+	n := len(*p) - 1
+	v := (*p)[n]
+	*p = (*p)[:n]
+	return v
+}
+
+// TestPathHeapMatchesContainerHeap: under random interleaved pushes and
+// pops with many equal costs, pathHeap pops the same bins in the same
+// order as container/heap.
+func TestPathHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		var h pathHeap
+		ref := &refPathPQ{}
+		for op := 0; op < 300; op++ {
+			if len(h) > 0 && rng.Intn(3) == 0 {
+				if got, want := h.pop(), heap.Pop(ref).(pathNode); got != want {
+					t.Fatalf("trial %d op %d: pop %+v, container/heap pops %+v", trial, op, got, want)
+				}
+				continue
+			}
+			x := pathNode{float64(rng.Intn(6)), rng.Intn(1000)}
+			h.push(x)
+			heap.Push(ref, x)
+		}
+	}
 }

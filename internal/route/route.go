@@ -9,7 +9,6 @@
 package route
 
 import (
-	"math"
 	"sort"
 
 	"tps/internal/image"
@@ -52,10 +51,17 @@ type demand struct {
 	v      []float64 // usage across horizontal boundary above (i,j): nx*(ny-1)
 	capH   []float64
 	capV   []float64
+	// costH and costV cache edgeCost of every edge; commit refreshes the
+	// one edge it loads.
+	costH, costV []float64
 
-	dist []float64
-	prev []int32
-	heap pq
+	// dist and prev hold a node's search state only while seen[node] ==
+	// epoch, so a search starts without clearing them.
+	dist  []float64
+	prev  []int32
+	seen  []uint32
+	epoch uint32
+	heap  pq
 }
 
 func newDemand(im *image.Image) *demand {
@@ -74,9 +80,24 @@ func newDemand(im *image.Image) *demand {
 			d.capV[j*d.nx+i] = im.At(i, j).WireCapV
 		}
 	}
+	d.prepare()
+	return d
+}
+
+// prepare fills the cost caches from the current usage and sizes the
+// search scratch.
+func (d *demand) prepare() {
+	d.costH = make([]float64, len(d.h))
+	for e := range d.h {
+		d.costH[e] = edgeCost(d.h[e], d.capH[e])
+	}
+	d.costV = make([]float64, len(d.v))
+	for e := range d.v {
+		d.costV[e] = edgeCost(d.v[e], d.capV[e])
+	}
 	d.dist = make([]float64, d.nx*d.ny)
 	d.prev = make([]int32, d.nx*d.ny)
-	return d
+	d.seen = make([]uint32, d.nx*d.ny)
 }
 
 // cost returns the traversal cost of an edge given its usage/capacity:
@@ -220,19 +241,25 @@ func (p *pq) push(x pqItem) {
 	i := len(p.a) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if p.a[parent].cost <= p.a[i].cost {
+		if p.a[parent].cost <= x.cost {
 			break
 		}
-		p.a[parent], p.a[i] = p.a[i], p.a[parent]
+		p.a[i] = p.a[parent]
 		i = parent
 	}
+	p.a[i] = x
 }
 
+// pop sifts the last item down from the root through a hole: the
+// comparisons of a swapping sift, with one write per level.
 func (p *pq) pop() pqItem {
 	top := p.a[0]
 	n := len(p.a) - 1
-	p.a[0] = p.a[n]
+	x := p.a[n]
 	p.a = p.a[:n]
+	if n == 0 {
+		return top
+	}
 	i := 0
 	for {
 		l := 2*i + 1
@@ -243,12 +270,13 @@ func (p *pq) pop() pqItem {
 		if r := l + 1; r < n && p.a[r].cost < p.a[l].cost {
 			m = r
 		}
-		if p.a[i].cost <= p.a[m].cost {
+		if x.cost <= p.a[m].cost {
 			break
 		}
-		p.a[i], p.a[m] = p.a[m], p.a[i]
+		p.a[i] = p.a[m]
 		i = m
 	}
+	p.a[i] = x
 	return top
 }
 
@@ -258,14 +286,15 @@ func (d *demand) dijkstra(si, sj, ti, tj int) (hSteps, vSteps int) {
 	if si == ti && sj == tj {
 		return 0, 0
 	}
-	dist, prev := d.dist, d.prev
-	for i := range dist {
-		dist[i] = math.Inf(1)
-		prev[i] = -1
+	d.epoch++
+	if d.epoch == 0 {
+		clear(d.seen)
+		d.epoch = 1
 	}
-	start := sj*d.nx + si
-	goal := tj*d.nx + ti
-	dist[start] = 0
+	nx := d.nx
+	start := sj*nx + si
+	goal := tj*nx + ti
+	d.seen[start], d.dist[start] = d.epoch, 0
 	d.heap.a = d.heap.a[:0]
 	d.heap.push(pqItem{0, int32(start)})
 	for len(d.heap.a) > 0 {
@@ -274,59 +303,64 @@ func (d *demand) dijkstra(si, sj, ti, tj int) (hSteps, vSteps int) {
 		if node == goal {
 			break
 		}
-		if it.cost > dist[node] {
+		if it.cost > d.dist[node] {
 			continue
 		}
-		ci, cj := node%d.nx, node/d.nx
-		// Four neighbors with their edge indices.
-		if ci+1 < d.nx {
-			d.relax(node, node+1, edgeCost(d.h[cj*(d.nx-1)+ci], d.capH[cj*(d.nx-1)+ci]))
+		// A pop that is not stale carries dist[node] as its cost.
+		ci, cj := node%nx, node/nx
+		if ci+1 < nx {
+			d.relax(node, node+1, it.cost+d.costH[cj*(nx-1)+ci])
 		}
-		if ci-1 >= 0 {
-			d.relax(node, node-1, edgeCost(d.h[cj*(d.nx-1)+ci-1], d.capH[cj*(d.nx-1)+ci-1]))
+		if ci > 0 {
+			d.relax(node, node-1, it.cost+d.costH[cj*(nx-1)+ci-1])
 		}
 		if cj+1 < d.ny {
-			d.relax(node, node+d.nx, edgeCost(d.v[cj*d.nx+ci], d.capV[cj*d.nx+ci]))
+			d.relax(node, node+nx, it.cost+d.costV[node])
 		}
-		if cj-1 >= 0 {
-			d.relax(node, node-d.nx, edgeCost(d.v[(cj-1)*d.nx+ci], d.capV[(cj-1)*d.nx+ci]))
+		if cj > 0 {
+			d.relax(node, node-nx, it.cost+d.costV[node-nx])
 		}
 	}
 	// Walk back, committing demand.
 	for at := goal; at != start; {
-		p := int(prev[at])
-		if p < 0 {
+		if d.seen[at] != d.epoch {
 			break // unreachable (degenerate grid); treat as direct
 		}
+		p := int(d.prev[at])
 		d.commit(p, at)
-		if dd := p - at; dd == 1 || dd == -1 {
-			hSteps++
-		} else {
+		if dd := p - at; dd == nx || dd == -nx {
 			vSteps++
+		} else {
+			hSteps++
 		}
 		at = p
 	}
 	return hSteps, vSteps
 }
 
-func (d *demand) relax(from, to int, w float64) {
-	if nd := d.dist[from] + w; nd < d.dist[to] {
+// relax offers node to a path cost of nd through from.
+func (d *demand) relax(from, to int, nd float64) {
+	if d.seen[to] != d.epoch || nd < d.dist[to] {
+		d.seen[to] = d.epoch
 		d.dist[to] = nd
 		d.prev[to] = int32(from)
 		d.heap.push(pqItem{nd, int32(to)})
 	}
 }
 
-// commit adds one unit of demand on the edge between adjacent nodes a, b.
+// commit adds one unit of demand on the edge between adjacent nodes a, b
+// and refreshes its cached cost.
 func (d *demand) commit(a, b int) {
 	if b < a {
 		a, b = b, a
 	}
-	ai, aj := a%d.nx, a/d.nx
-	if b == a+1 {
-		d.h[aj*(d.nx-1)+ai]++
+	if b-a == d.nx { // a vertical step; on a one-column grid b == a+1 too
+		d.v[a]++
+		d.costV[a] = edgeCost(d.v[a], d.capV[a])
 	} else {
-		d.v[aj*d.nx+ai]++
+		e := a/d.nx*(d.nx-1) + a%d.nx
+		d.h[e]++
+		d.costH[e] = edgeCost(d.h[e], d.capH[e])
 	}
 }
 

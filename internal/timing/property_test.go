@@ -1,6 +1,7 @@
 package timing
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -101,39 +102,47 @@ func TestFlushPropertyInterleavedEdits(t *testing.T) {
 		if round%10 != 9 {
 			continue
 		}
-		// Ground truth: a fresh stack over the identical netlist state.
-		fresh, closeFresh := engineStack(nl, period, 1, delay.Actual)
-		bad := 0
-		nl.Gates(func(g *netlist.Gate) {
-			if g.Removed {
-				return
-			}
-			for _, p := range g.Pins {
-				ai, af := eng.Arrival(p), fresh.Arrival(p)
-				if math.Abs(ai-af) > eps && !(math.IsInf(ai, 0) && ai == af) {
-					if bad == 0 {
-						t.Errorf("round %d: pin %s arrival incremental %v != fresh %v", round, p.Name(), ai, af)
-					}
-					bad++
+		checkMatchesFresh(t, nl, period, eng, fmt.Sprintf("round %d", round))
+	}
+}
+
+// checkMatchesFresh is the ground truth of the flush property tests: a
+// fresh stack over the identical netlist state must agree with eng,
+// within eps, on every live pin's arrival and required time, on the worst
+// slack and on TNS.
+func checkMatchesFresh(t *testing.T, nl *netlist.Netlist, period float64, eng *Engine, at string) {
+	t.Helper()
+	fresh, closeFresh := engineStack(nl, period, 1, delay.Actual)
+	defer closeFresh()
+	bad := 0
+	nl.Gates(func(g *netlist.Gate) {
+		if g.Removed {
+			return
+		}
+		for _, p := range g.Pins {
+			ai, af := eng.Arrival(p), fresh.Arrival(p)
+			if math.Abs(ai-af) > eps && !(math.IsInf(ai, 0) && ai == af) {
+				if bad == 0 {
+					t.Errorf("%s: pin %s arrival incremental %v != fresh %v", at, p.Name(), ai, af)
 				}
-				ri, rf := eng.Required(p), fresh.Required(p)
-				if math.Abs(ri-rf) > eps && !(math.IsInf(ri, 1) && math.IsInf(rf, 1)) {
-					if bad == 0 {
-						t.Errorf("round %d: pin %s required incremental %v != fresh %v", round, p.Name(), ri, rf)
-					}
-					bad++
-				}
+				bad++
 			}
-		})
-		if bad > 0 {
-			t.Fatalf("round %d: %d pins diverged from a freshly built engine", round, bad)
+			ri, rf := eng.Required(p), fresh.Required(p)
+			if math.Abs(ri-rf) > eps && !(math.IsInf(ri, 1) && math.IsInf(rf, 1)) {
+				if bad == 0 {
+					t.Errorf("%s: pin %s required incremental %v != fresh %v", at, p.Name(), ri, rf)
+				}
+				bad++
+			}
 		}
-		if wi, wf := eng.WorstSlack(), fresh.WorstSlack(); math.Abs(wi-wf) > eps {
-			t.Fatalf("round %d: worst slack incremental %v != fresh %v", round, wi, wf)
-		}
-		if ti, tf := eng.TNS(), fresh.TNS(); math.Abs(ti-tf) > eps {
-			t.Fatalf("round %d: TNS incremental %v != fresh %v", round, ti, tf)
-		}
-		closeFresh()
+	})
+	if bad > 0 {
+		t.Fatalf("%s: %d pins diverged from a freshly built engine", at, bad)
+	}
+	if wi, wf := eng.WorstSlack(), fresh.WorstSlack(); math.Abs(wi-wf) > eps {
+		t.Fatalf("%s: worst slack incremental %v != fresh %v", at, wi, wf)
+	}
+	if ti, tf := eng.TNS(), fresh.TNS(); math.Abs(ti-tf) > eps {
+		t.Fatalf("%s: TNS incremental %v != fresh %v", at, ti, tf)
 	}
 }

@@ -69,9 +69,27 @@ type Engine struct {
 	kindEpoch   uint64 // nl.KindEpoch when levels were last built
 	allDirty    bool
 
-	pendArr, pendReq []int // pin IDs with pending recompute
+	// pendArr and pendReq list pin IDs queued for recompute; inPendArr
+	// and inPendReq flag the pins still pending. A GateSlack probe drains
+	// some pins early and clears their flags, leaving dead entries that
+	// the flushes skip and compactPending drops.
+	pendArr, pendReq []int
 	inPendArr        []bool
 	inPendReq        []bool
+
+	// Stale flags for GateSlack probes. A pin's arrival may be stale while
+	// arrStale[id] == staleEpoch, and its required time while reqStale[id]
+	// does. The arrival-flagged set is closed under successors and the
+	// required-flagged set under predecessors, so an unflagged pin has no
+	// pending pin in its cone and holds the value a Flush would give it.
+	// A probe floods the cones of the entries queued since the last query
+	// (pendArr[arrFlooded:], pendReq[reqFlooded:]); Flush drops every flag
+	// by bumping staleEpoch.
+	arrStale, reqStale     []uint32
+	staleEpoch             uint32
+	arrFlooded, reqFlooded int
+	arrLive, reqLive       int   // pending-list lengths after the last compaction
+	removed                []int // pins tombstoned since the last query
 
 	// Reusable scratch (relevel, full-flush ordering, incremental heaps):
 	// sized to high-water marks so steady-state flushes allocate nothing.
@@ -83,6 +101,8 @@ type Engine struct {
 	levelStart   []int32 // level → start offset in idSorted
 	buckets      [][]int // per-level worklists for the incremental flushes
 	relaxQueue   []int   // BFS workspace for incremental level repair
+	adj          []int   // neighbour IDs from appendPred/appendSucc; probe stack
+	walked       []int   // a probe's walked set
 
 	// Recomputes counts pin evaluations since construction; tests use it
 	// to demonstrate incrementality.
@@ -106,10 +126,11 @@ const (
 // period. The engine subscribes to netlist changes.
 func New(nl *netlist.Netlist, calc *delay.Calculator, period float64) *Engine {
 	e := &Engine{
-		nl:     nl,
-		Calc:   calc,
-		Period: period,
-		Setup:  nl.Lib.Tech.Tau,
+		nl:         nl,
+		Calc:       calc,
+		Period:     period,
+		Setup:      nl.Lib.Tech.Tau,
+		staleEpoch: 1,
 	}
 	nl.Observe(e)
 	return e
@@ -215,7 +236,8 @@ func (e *Engine) relevel() {
 				e.flags[p.ID] |= flagEnd
 				e.endpoints = append(e.endpoints, p)
 			}
-			indeg[p.ID] = e.countPreds(p)
+			e.adj = e.appendPred(e.adj[:0], p.ID)
+			indeg[p.ID] = int32(len(e.adj))
 			if indeg[p.ID] == 0 {
 				queue = append(queue, p.ID)
 			}
@@ -225,19 +247,19 @@ func (e *Engine) relevel() {
 	for len(queue) > 0 {
 		id := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
-		p := e.pinOf[id]
-		if p == nil {
+		if e.pinOf[id] == nil {
 			continue
 		}
-		e.forEachSucc(p, func(q *netlist.Pin) {
-			if e.level[q.ID] < e.level[id]+1 {
-				e.level[q.ID] = e.level[id] + 1
+		e.adj = e.appendSucc(e.adj[:0], id)
+		for _, q := range e.adj {
+			if e.level[q] < e.level[id]+1 {
+				e.level[q] = e.level[id] + 1
 			}
-			indeg[q.ID]--
-			if indeg[q.ID] == 0 {
-				queue = append(queue, q.ID)
+			indeg[q]--
+			if indeg[q] == 0 {
+				queue = append(queue, q)
 			}
-		})
+		}
 	}
 
 	e.queueScratch = queue[:0]
@@ -265,59 +287,55 @@ func (e *Engine) relevel() {
 	}
 }
 
-// forEachPred visits the timing fanin pins of p without allocating.
-func (e *Engine) forEachPred(p *netlist.Pin, visit func(*netlist.Pin)) {
-	if e.flags[p.ID]&flagClockPin != 0 {
-		return
+// appendPred appends the IDs of pin id's timing fanin pins to dst.
+func (e *Engine) appendPred(dst []int, id int) []int {
+	fl := e.flags[id]
+	if fl&flagClockPin != 0 {
+		return dst
 	}
-	if e.flags[p.ID]&flagOutput == 0 {
-		if !dataNet(p.Net) {
-			return
+	p := e.pinOf[id]
+	if fl&flagOutput == 0 {
+		if dataNet(p.Net) {
+			if d := p.Net.Driver(); d != nil {
+				dst = append(dst, d.ID)
+			}
 		}
-		if d := p.Net.Driver(); d != nil {
-			visit(d)
-		}
-		return
+		return dst
 	}
-	if e.flags[p.ID]&flagBegin != 0 {
-		return
+	if fl&flagBegin != 0 {
+		return dst
 	}
 	for _, q := range p.Gate.Pins {
 		if e.flags[q.ID]&(flagOutput|flagClockPin) == 0 {
-			visit(q)
+			dst = append(dst, q.ID)
 		}
 	}
+	return dst
 }
 
-// forEachSucc visits the timing fanout pins of p without allocating.
-func (e *Engine) forEachSucc(p *netlist.Pin, visit func(*netlist.Pin)) {
-	if e.flags[p.ID]&flagClockPin != 0 {
-		return
+// appendSucc appends the IDs of pin id's timing fanout pins to dst.
+func (e *Engine) appendSucc(dst []int, id int) []int {
+	fl := e.flags[id]
+	if fl&flagClockPin != 0 {
+		return dst
 	}
-	if e.flags[p.ID]&flagOutput != 0 {
-		if !dataNet(p.Net) {
-			return
-		}
-		for _, q := range p.Net.Pins() {
-			if e.flags[q.ID]&(flagOutput|flagClockPin) == 0 {
-				visit(q)
+	if fl&flagOutput != 0 {
+		if p := e.pinOf[id]; dataNet(p.Net) {
+			for _, q := range p.Net.Pins() {
+				if e.flags[q.ID]&(flagOutput|flagClockPin) == 0 {
+					dst = append(dst, q.ID)
+				}
 			}
 		}
-		return
+		return dst
 	}
-	if e.flags[p.ID]&flagEnd != 0 {
-		return
+	if fl&flagEnd != 0 {
+		return dst
 	}
-	if zid := e.outPin[p.ID]; zid != 0 {
-		visit(e.pinOf[zid-1])
+	if zid := e.outPin[id]; zid != 0 {
+		dst = append(dst, int(zid-1))
 	}
-}
-
-// countPreds returns the timing fanin degree of p without allocating.
-func (e *Engine) countPreds(p *netlist.Pin) int32 {
-	var n int32
-	e.forEachPred(p, func(*netlist.Pin) { n++ })
-	return n
+	return dst
 }
 
 // ---- evaluation ----
@@ -420,9 +438,14 @@ func (e *Engine) ensure() {
 	// edge set without any per-net event granularity, so they force a full
 	// relevel via the kind epoch. Ordinary connectivity edits are repaired
 	// in place by the observer callbacks and leave levelsValid set.
-	if e.level == nil || !e.levelsValid || e.kindEpoch != e.nl.KindEpoch {
+	if e.levelsStale() {
 		e.relevel()
 	}
+}
+
+// levelsStale reports that the next query must relevel first.
+func (e *Engine) levelsStale() bool {
+	return e.level == nil || !e.levelsValid || e.kindEpoch != e.nl.KindEpoch
 }
 
 // relaxNet repairs the levelization after a connectivity edit on net n by
@@ -471,37 +494,42 @@ func (e *Engine) relaxNet(n *netlist.Net) {
 			e.levelsValid = false
 			return
 		}
-		p := e.pinOf[id]
-		if p == nil {
+		if e.pinOf[id] == nil {
 			continue
 		}
-		e.forEachSucc(p, func(s *netlist.Pin) {
-			if e.level[s.ID] <= e.level[id] {
-				e.level[s.ID] = e.level[id] + 1
-				q = append(q, s.ID)
+		e.adj = e.appendSucc(e.adj[:0], id)
+		for _, s := range e.adj {
+			if e.level[s] <= e.level[id] {
+				e.level[s] = e.level[id] + 1
+				q = append(q, s)
 			}
-		})
+		}
 	}
 	e.relaxQueue = q[:0]
 }
 
+// markArr queues pin id's arrival for recompute. The flag is always set,
+// growing the slab for pins marked before the arrays grew: a list entry
+// whose flag is clear has been drained by a probe.
 func (e *Engine) markArr(id int) {
-	if id < len(e.inPendArr) {
-		if e.inPendArr[id] {
-			return
-		}
-		e.inPendArr[id] = true
+	if id >= len(e.inPendArr) {
+		e.inPendArr = grow(e.inPendArr, e.nl.NumPins())
 	}
+	if e.inPendArr[id] {
+		return
+	}
+	e.inPendArr[id] = true
 	e.pendArr = append(e.pendArr, id)
 }
 
 func (e *Engine) markReq(id int) {
-	if id < len(e.inPendReq) {
-		if e.inPendReq[id] {
-			return
-		}
-		e.inPendReq[id] = true
+	if id >= len(e.inPendReq) {
+		e.inPendReq = grow(e.inPendReq, e.nl.NumPins())
 	}
+	if e.inPendReq[id] {
+		return
+	}
+	e.inPendReq[id] = true
 	e.pendReq = append(e.pendReq, id)
 }
 
@@ -547,9 +575,19 @@ func (e *Engine) bucketPush(l int32, id int) {
 	e.buckets[l] = append(e.buckets[l], id)
 }
 
-// Flush brings all timing up to date. Queries call it implicitly.
+// Flush brings all timing up to date. Every query but GateSlack calls it.
 func (e *Engine) Flush() {
 	e.ensure()
+	// Nothing stays pending, so nothing stays stale.
+	e.staleEpoch++
+	if e.staleEpoch == 0 {
+		clear(e.arrStale)
+		clear(e.reqStale)
+		e.staleEpoch = 1
+	}
+	e.arrFlooded, e.reqFlooded = 0, 0
+	e.arrLive, e.reqLive = 0, 0
+	e.removed = e.removed[:0]
 	if e.allDirty {
 		e.flushAll()
 		return
@@ -685,12 +723,14 @@ func (e *Engine) flushArr() {
 	lo := int32(math.MaxInt32)
 	for _, id := range e.pendArr {
 		if id < len(e.pinOf) && e.pinOf[id] != nil {
-			e.inPendArr[id] = true // ids marked before arrays grew
+			if !e.inPendArr[id] {
+				continue // drained by a probe
+			}
 			e.bucketPush(e.level[id], id)
 			if e.level[id] < lo {
 				lo = e.level[id]
 			}
-		} else if id < len(e.inPendArr) {
+		} else {
 			// The pin was tombstoned after being marked: clear the stale
 			// flag instead of leaking a permanent true that would shadow
 			// the slot in any future scan.
@@ -730,8 +770,7 @@ func (e *Engine) flushArr() {
 				continue
 			}
 			e.arr[id] = v
-			// forEachSucc, inlined: this is the engine's hottest loop and
-			// the closure dispatch per visited pin is measurable.
+			// appendSucc, inlined: this is the engine's hottest loop.
 			fl := e.flags[id]
 			if fl&flagClockPin != 0 {
 				continue
@@ -770,12 +809,14 @@ func (e *Engine) flushReq() {
 	hi := int32(-1)
 	for _, id := range e.pendReq {
 		if id < len(e.pinOf) && e.pinOf[id] != nil {
-			e.inPendReq[id] = true // ids marked before arrays grew
+			if !e.inPendReq[id] {
+				continue // drained by a probe
+			}
 			e.bucketPush(e.level[id], id)
 			if e.level[id] > hi {
 				hi = e.level[id]
 			}
-		} else if id < len(e.inPendReq) {
+		} else {
 			e.inPendReq[id] = false // tombstoned since marked (see flushArr)
 		}
 	}
@@ -815,7 +856,7 @@ func (e *Engine) flushReq() {
 				continue
 			}
 			e.req[id] = v
-			// forEachPred, inlined (see flushArr).
+			// appendPred, inlined (see flushArr).
 			fl := e.flags[id]
 			if fl&flagClockPin != 0 {
 				continue
@@ -848,13 +889,205 @@ func (e *Engine) flushReq() {
 }
 
 // reqSettled reports whether pin id's recomputed required time v leaves
-// its predecessors as they are. A required time that stays +Inf counts as
-// changed (|Inf−Inf| is NaN), except on a cycle-frozen pin: its +Inf
-// never changes, and re-pushing its predecessors would chase a loop of
-// frozen pins forever.
+// its predecessors as they are. The v == old test settles a required time
+// that stays +Inf, where |Inf−Inf| is NaN; on a cycle-frozen pin, whose
+// +Inf never changes, re-pushing would chase a loop of frozen pins
+// forever.
 func (e *Engine) reqSettled(id int, v float64) bool {
 	old := e.req[id]
-	return math.Abs(v-old) <= eps || e.flags[id]&flagOnCycle != 0 && v == old
+	return math.Abs(v-old) <= eps || v == old
+}
+
+// ---- cone-local point queries ----
+
+// settle gives gate g's pins the arrival and required times a Flush would
+// give them now (see GateSlack). It flags the cones of the entries queued
+// since the last query, then drains the pending pins of g's flagged
+// fan-in and fan-out and clears those pins' flags.
+func (e *Engine) settle(g *netlist.Gate) {
+	if len(e.pendArr) == 0 && len(e.pendReq) == 0 {
+		return // nothing pending, nothing stale
+	}
+	np := len(e.pinOf)
+	e.arrStale = grow(e.arrStale, np)
+	e.reqStale = grow(e.reqStale, np)
+	for _, id := range e.removed {
+		// Drop a tombstoned pin's entries as flushArr and flushReq do. It
+		// has no timing edges, so unflagging it keeps both flagged sets
+		// closed, and no walk can reach it.
+		if e.pinOf[id] == nil {
+			e.inPendArr[id], e.inPendReq[id] = false, false
+			e.arrStale[id], e.reqStale[id] = 0, 0
+		}
+	}
+	e.removed = e.removed[:0]
+	e.flood(e.pendArr[e.arrFlooded:], e.inPendArr, e.arrStale, e.appendSucc)
+	e.flood(e.pendReq[e.reqFlooded:], e.inPendReq, e.reqStale, e.appendPred)
+	e.pendArr, e.arrLive = compactPending(e.pendArr, e.inPendArr, e.arrLive)
+	e.pendReq, e.reqLive = compactPending(e.pendReq, e.inPendReq, e.reqLive)
+	e.settleArr(e.walk(g, e.arrStale, e.appendPred))
+	e.settleReq(e.walk(g, e.reqStale, e.appendSucc))
+	// The entries the drains queued lie in flagged cones already.
+	e.arrFlooded, e.reqFlooded = len(e.pendArr), len(e.pendReq)
+}
+
+// flood flags the cone of every live entry in ids: forward from a pending
+// arrival (next = appendSucc), backward from a pending required time
+// (next = appendPred). It stops at flagged pins, whose cones closure has
+// flagged already.
+func (e *Engine) flood(ids []int, pending []bool, stale []uint32, next func([]int, int) []int) {
+	ep := e.staleEpoch
+	stack := e.adj[:0]
+	for _, id := range ids {
+		if !pending[id] || e.pinOf[id] == nil {
+			continue
+		}
+		stack = append(stack, id)
+		for len(stack) > 0 {
+			id := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if stale[id] == ep {
+				continue
+			}
+			stale[id] = ep
+			stack = next(stack, id)
+		}
+	}
+	e.adj = stack
+}
+
+// compactPending drops drained, tombstoned and repeated entries from a
+// pending list once it has doubled past its length at the last
+// compaction, so a long run of probes between flushes keeps the list near
+// its live size at amortized O(1) per entry.
+func compactPending(ids []int, pending []bool, last int) ([]int, int) {
+	if len(ids) <= 2*last {
+		return ids, last
+	}
+	live := ids[:0]
+	for _, id := range ids {
+		if pending[id] {
+			pending[id] = false // so a repeat of id is dropped
+			live = append(live, id)
+		}
+	}
+	for _, id := range live {
+		pending[id] = true
+	}
+	return live, len(live)
+}
+
+// walk collects the flagged part of g's cone, back through flagged
+// predecessors for arrivals (next = appendPred) or forward through
+// flagged successors for required times (next = appendSucc), and clears
+// its flags. Closure puts every pending pin of the cone in the walk, and
+// leaves a neighbour of a walked pin on the far side flagged exactly when
+// the neighbour lies outside the walk. Clock pins carry no slack and are
+// not walked from.
+func (e *Engine) walk(g *netlist.Gate, stale []uint32, next func([]int, int) []int) []int {
+	ep := e.staleEpoch
+	w := e.walked[:0]
+	stack := e.adj[:0]
+	for _, p := range g.Pins {
+		if e.flags[p.ID]&flagClockPin == 0 {
+			stack = append(stack, p.ID)
+		}
+	}
+	for len(stack) > 0 {
+		id := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if stale[id] != ep {
+			continue
+		}
+		stale[id] = 0
+		w = append(w, id)
+		stack = next(stack, id)
+	}
+	e.adj = stack
+	e.walked = w
+	return w
+}
+
+// settleArr drains the pending arrivals of the walked set w in ascending
+// level order under flushArr's eps rule. A changed arrival queues its
+// successors: those in w drain now, the rest (still flagged) stay
+// pending for the next query.
+func (e *Engine) settleArr(w []int) {
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	for _, id := range w {
+		if e.inPendArr[id] {
+			l := e.level[id]
+			e.bucketPush(l, id)
+			lo, hi = min(lo, l), max(hi, l)
+		}
+	}
+	ep := e.staleEpoch
+	for l := lo; l <= hi; l++ {
+		b := e.buckets[l]
+		for _, id := range b {
+			if !e.inPendArr[id] {
+				continue
+			}
+			e.inPendArr[id] = false
+			v := e.evalArr(e.pinOf[id])
+			if math.Abs(v-e.arr[id]) <= eps {
+				continue
+			}
+			e.arr[id] = v
+			e.adj = e.appendSucc(e.adj[:0], id)
+			for _, q := range e.adj {
+				switch {
+				case e.arrStale[q] == ep:
+					e.markArr(q)
+				case !e.inPendArr[q]:
+					e.inPendArr[q] = true
+					e.bucketPush(e.level[q], q)
+					hi = max(hi, e.level[q])
+				}
+			}
+		}
+		e.buckets[l] = b[:0]
+	}
+}
+
+// settleReq mirrors settleArr for required times: descending levels,
+// reqSettled, pushes to predecessors.
+func (e *Engine) settleReq(w []int) {
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	for _, id := range w {
+		if e.inPendReq[id] {
+			l := e.level[id]
+			e.bucketPush(l, id)
+			lo, hi = min(lo, l), max(hi, l)
+		}
+	}
+	ep := e.staleEpoch
+	for l := hi; l >= lo; l-- {
+		b := e.buckets[l]
+		for _, id := range b {
+			if !e.inPendReq[id] {
+				continue
+			}
+			e.inPendReq[id] = false
+			v := e.evalReq(e.pinOf[id])
+			if e.reqSettled(id, v) {
+				continue
+			}
+			e.req[id] = v
+			e.adj = e.appendPred(e.adj[:0], id)
+			for _, q := range e.adj {
+				switch {
+				case e.reqStale[q] == ep:
+					e.markReq(q)
+				case !e.inPendReq[q]:
+					e.inPendReq[q] = true
+					e.bucketPush(e.level[q], q)
+					lo = min(lo, e.level[q])
+				}
+			}
+		}
+		e.buckets[l] = b[:0]
+	}
 }
 
 // ---- queries ----
@@ -918,9 +1151,18 @@ func (e *Engine) NetSlack(n *netlist.Net) float64 {
 	return s
 }
 
-// GateSlack returns the worst slack among the gate's pins.
+// GateSlack returns the worst slack among the gate's pins. It is a point
+// query: only the pending pins in the gate's fan-in cone (arrival) and
+// fan-out cone (required) are recomputed, and the rest stay pending for
+// the next Flush. It flushes the whole design instead before the first
+// query, after a full invalidation, on a graph with cycles, and when a
+// relevel is due.
 func (e *Engine) GateSlack(g *netlist.Gate) float64 {
-	e.Flush()
+	if e.levelsStale() || e.allDirty || e.HasCycles {
+		e.Flush()
+	} else {
+		e.settle(g)
+	}
 	s := math.Inf(1)
 	for _, p := range g.Pins {
 		if e.flags[p.ID]&flagClockPin != 0 {
@@ -1152,6 +1394,7 @@ func (e *Engine) GateRemoved(g *netlist.Gate) {
 		}
 		e.flags[p.ID] = 0
 		e.pinOf[p.ID] = nil
+		e.removed = append(e.removed, p.ID)
 	}
 	if hadFlagged {
 		e.begins = dropGatePins(e.begins, g)

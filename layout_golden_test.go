@@ -40,9 +40,9 @@ func TestMetricsBitIdenticalAfterLayoutRefactor(t *testing.T) {
 			wire:            103136.03547139814,
 			routed:          158676.6821508809,
 			overflows:       282,
-			steinerRebuilds: 43608,
+			steinerRebuilds: 43588,
 			congFull:        17, congIncr: 4,
-			timingRecomputes: 10605986,
+			timingRecomputes: 9248648,
 		},
 		"SPR": {
 			icells: 948,
@@ -55,9 +55,9 @@ func TestMetricsBitIdenticalAfterLayoutRefactor(t *testing.T) {
 			wire:            94062.602920448247,
 			routed:          116531.4980148316,
 			overflows:       195,
-			steinerRebuilds: 8685,
+			steinerRebuilds: 8296,
 			congFull:        1, congIncr: 0,
-			timingRecomputes: 2952674,
+			timingRecomputes: 2246374,
 		},
 	}
 	for _, flow := range []string{"TPS", "SPR"} {
