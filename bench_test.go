@@ -40,12 +40,18 @@ func benchTable1(b *testing.B, des int) {
 	for i := 0; i < b.N; i++ {
 		p := Table1Params(des, BenchScale)
 		dS := NewDesign(p)
-		spr := dS.RunSPR(DefaultSPROptions())
+		spr, err := dS.RunSPR(DefaultSPROptions())
 		dS.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
 
 		dT := NewDesign(p)
-		tpsM := dT.RunTPS(DefaultTPSOptions())
+		tpsM, err := dT.RunTPS(DefaultTPSOptions())
 		dT.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
 
 		b.ReportMetric(spr.WorstSlack, "spr-slack-ps")
 		b.ReportMetric(tpsM.WorstSlack, "tps-slack-ps")
@@ -69,7 +75,9 @@ func BenchmarkFig2WireHistogram(b *testing.B) {
 		d := NewDesign(DesignParams{Name: "fig2", NumGates: 800, Levels: 10, Seed: 5})
 		opt := DefaultTPSOptions()
 		opt.SkipRouting = true
-		d.RunTPS(opt)
+		if _, err := d.RunTPS(opt); err != nil {
+			b.Fatal(err)
+		}
 		h := d.WireLoadHistograms([]float64{0, 0.10, 0.20}, 5, 80)
 		b.ReportMetric(h[0].TailFraction(30)*100, "tail30-all-%")
 		b.ReportMetric(h[1].TailFraction(30)*100, "tail30-drop10-%")
@@ -89,7 +97,11 @@ func BenchmarkAblationReflow(b *testing.B) {
 			opt := DefaultTPSOptions()
 			opt.SkipRouting = true
 			opt.DisableReflow = disable
-			return d.RunTPS(opt)
+			m, err := d.RunTPS(opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m
 		}
 		with := run(false)
 		without := run(true)
@@ -114,7 +126,11 @@ func BenchmarkAblationNetWeights(b *testing.B) {
 			opt := DefaultTPSOptions()
 			opt.SkipRouting = true
 			opt.UseLogicalEffort = useLE
-			return d.RunTPS(opt)
+			m, err := d.RunTPS(opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return m
 		}
 		var slackLE, slackPlain, wlLE, wlPlain float64
 		cfgs := [][2]int64{{1, 11}, {1, 12}, {1, 13}, {1, 14}}
@@ -181,7 +197,10 @@ func BenchmarkAblationClockSchedule(b *testing.B) {
 			opt := DefaultTPSOptions()
 			opt.SkipRouting = true
 			opt.DisableClockScanSchedule = disable
-			m := d.RunTPS(opt)
+			m, err := d.RunTPS(opt)
+			if err != nil {
+				b.Fatal(err)
+			}
 			return m, d.ClockWireLength(), d.ScanWireLength()
 		}
 		mSched, ckSched, scSched := run(false)
@@ -206,11 +225,17 @@ func BenchmarkFlowRuntime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := Table1Params(5, BenchScale)
 		dS := NewDesign(p)
-		spr := dS.RunSPR(DefaultSPROptions())
+		spr, err := dS.RunSPR(DefaultSPROptions())
 		dS.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
 		dT := NewDesign(p)
-		tpsM := dT.RunTPS(DefaultTPSOptions())
+		tpsM, err := dT.RunTPS(DefaultTPSOptions())
 		dT.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(spr.CPUSeconds, "spr-cpu-s")
 		b.ReportMetric(tpsM.CPUSeconds, "tps-cpu-s")
 		b.ReportMetric(float64(spr.Iterations), "spr-iterations")
@@ -307,7 +332,10 @@ func BenchmarkClockOptimize(b *testing.B) {
 func BenchmarkTPSEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := NewDesign(DesignParams{Name: "bench", NumGates: 1000, Levels: 10, Seed: 3})
-		m := d.RunTPS(DefaultTPSOptions())
+		m, err := d.RunTPS(DefaultTPSOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(m.WorstSlack, "slack-ps")
 		d.Close()
 	}
@@ -362,7 +390,9 @@ func BenchmarkEvaluateOnly(b *testing.B) {
 	defer d.Close()
 	opt := DefaultTPSOptions()
 	opt.SkipRouting = true
-	d.RunTPS(opt)
+	if _, err := d.RunTPS(opt); err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.Context().Evaluate("bench")

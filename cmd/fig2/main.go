@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"strings"
 
 	"tps"
@@ -30,7 +31,10 @@ func main() {
 
 	opt := tps.DefaultTPSOptions()
 	opt.SkipRouting = true // the histogram routes below
-	d.RunTPS(opt)
+	if _, err := d.RunTPS(opt); err != nil {
+		fmt.Fprintln(os.Stderr, "fig2:", err)
+		os.Exit(1)
+	}
 
 	drops := []float64{0, 0.10, 0.20}
 	hists := d.WireLoadHistograms(drops, *bucket, *maxPct)

@@ -32,7 +32,7 @@ func main() {
 		designs = []int{*only}
 	}
 	for _, i := range designs {
-		run := func(flow string) tps.Metrics {
+		run := func(flow string) (tps.Metrics, error) {
 			p := tps.Table1Params(i, *scale)
 			d := tps.NewDesign(p)
 			defer d.Close()
@@ -44,8 +44,16 @@ func main() {
 			}
 			return d.RunTPS(tps.DefaultTPSOptions())
 		}
-		spr := run("SPR")
-		tpsM := run("TPS")
+		spr, err := run("SPR")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "table1: Des%d SPR: %v\n", i, err)
+			os.Exit(1)
+		}
+		tpsM, err := run("TPS")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "table1: Des%d TPS: %v\n", i, err)
+			os.Exit(1)
+		}
 		impr := tps.CycleImprovementPct(spr, tpsM)
 		fmt.Fprintf(tw, "Des%d\tSPR\t%d\t%.0f\t%.0f\t\t%.0f/%.0f\t%.0f/%.0f\t%.1f\t%d\n",
 			i, spr.ICells, spr.AreaUm2, spr.WorstSlack,

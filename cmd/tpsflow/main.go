@@ -185,9 +185,9 @@ func run() error {
 		case *scenarioFile != "":
 			m, err = runScenarioFile(d, *scenarioFile)
 		case *flow == "tps":
-			m = d.RunTPS(tps.DefaultTPSOptions())
+			m, err = d.RunTPS(tps.DefaultTPSOptions())
 		case *flow == "spr":
-			m = d.RunSPR(tps.DefaultSPROptions())
+			m, err = d.RunSPR(tps.DefaultSPROptions())
 		default:
 			err = fmt.Errorf("unknown flow %q (want tps or spr)", *flow)
 		}

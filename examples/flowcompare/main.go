@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"tps"
 )
@@ -26,14 +27,22 @@ func main() {
 
 	fmt.Printf("=== SPR: separate synthesis and placement, iterated ===\n")
 	dS := tps.NewDesign(params)
-	spr := dS.RunSPR(tps.DefaultSPROptions())
+	spr, err := dS.RunSPR(tps.DefaultSPROptions())
 	dS.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	printRow("SPR", spr)
 
 	fmt.Printf("\n=== TPS: one converging transformational flow ===\n")
 	dT := tps.NewDesign(params)
-	tpsM := dT.RunTPS(tps.DefaultTPSOptions())
+	tpsM, err := dT.RunTPS(tps.DefaultTPSOptions())
 	dT.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	printRow("TPS", tpsM)
 
 	fmt.Printf("\ncycle time improvement: %.1f%%  (paper reports 6.5–11.5%% on Des1–Des5)\n",

@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"tps"
 	"tps/internal/noise"
@@ -24,7 +25,11 @@ func main() {
 
 	opt := tps.DefaultTPSOptions()
 	opt.SkipRouting = true
-	m := d.RunTPS(opt)
+	m, err := d.RunTPS(opt)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	fmt.Printf("after TPS: slack %.0f ps, area %.0f µm²\n", m.WorstSlack, m.AreaUm2)
 
 	// --- power ---

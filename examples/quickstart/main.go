@@ -24,7 +24,11 @@ func main() {
 		d.Netlist().Name, d.Netlist().NumGates(), d.Netlist().NumNets(), w, h, d.Period())
 
 	d.SetLog(os.Stdout)
-	m := d.RunTPS(tps.DefaultTPSOptions())
+	m, err := d.RunTPS(tps.DefaultTPSOptions())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	fmt.Println()
 	fmt.Printf("worst slack      %8.0f ps\n", m.WorstSlack)

@@ -28,7 +28,7 @@ type flowCfg struct {
 	seed  int64
 }
 
-func runFlow(cfg flowCfg) outcome {
+func runFlow(t *testing.T, cfg flowCfg) outcome {
 	p := gen.Des(cfg.des, cfg.scale)
 	p.Seed = cfg.seed
 	d := gen.Generate(cell.Default(), p)
@@ -36,17 +36,21 @@ func runFlow(cfg flowCfg) outcome {
 	defer c.Close()
 	c.SetWorkers(2)
 	var m scenario.Metrics
+	var err error
 	if cfg.flow == "TPS" {
 		opt := DefaultTPSOptions()
 		opt.TransformBudget = 16
 		opt.SkipRouting = true
-		m = RunTPS(c, opt)
+		m, err = RunTPS(c, opt)
 	} else {
 		opt := DefaultSPROptions()
 		opt.MaxIterations = 2
 		opt.TransformBudget = 16
 		opt.SkipRouting = true
-		m = RunSPR(c, opt)
+		m, err = RunSPR(c, opt)
+	}
+	if err != nil {
+		t.Errorf("%s flow: %v", cfg.flow, err) // runs off the test goroutine too
 	}
 	m.CPUSeconds = 0
 	return outcome{m: m, st: c.AnalyzerStats()}
@@ -68,7 +72,7 @@ func TestConcurrentRunsBitIdentical(t *testing.T) {
 
 	solo := make([]outcome, len(cfgs))
 	for i, cfg := range cfgs {
-		solo[i] = runFlow(cfg)
+		solo[i] = runFlow(t, cfg)
 	}
 
 	conc := make([]outcome, len(cfgs))
@@ -77,7 +81,7 @@ func TestConcurrentRunsBitIdentical(t *testing.T) {
 		wg.Add(1)
 		go func(i int, cfg flowCfg) {
 			defer wg.Done()
-			conc[i] = runFlow(cfg)
+			conc[i] = runFlow(t, cfg)
 		}(i, cfg)
 	}
 	wg.Wait()

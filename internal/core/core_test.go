@@ -23,7 +23,10 @@ func TestRunTPSCompletes(t *testing.T) {
 	defer c.Close()
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 16
-	m := RunTPS(c, opt)
+	m, err := RunTPS(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Flow != "TPS" || m.ICells == 0 {
 		t.Fatalf("bad metrics: %+v", m)
 	}
@@ -57,7 +60,10 @@ func TestRunSPRCompletes(t *testing.T) {
 	defer c.Close()
 	opt := DefaultSPROptions()
 	opt.TransformBudget = 16
-	m := RunSPR(c, opt)
+	m, err := RunSPR(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Flow != "SPR" || m.ICells == 0 {
 		t.Fatalf("bad metrics: %+v", m)
 	}
@@ -81,15 +87,21 @@ func TestTPSBeatsSPROnSlack(t *testing.T) {
 	cS := scenario.NewContext(dS, 3)
 	sprOpt := DefaultSPROptions()
 	sprOpt.TransformBudget = 32
-	spr := RunSPR(cS, sprOpt)
+	spr, err := RunSPR(cS, sprOpt)
 	cS.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	dT := smallDesign(3) // identical design, fresh copy
 	cT := scenario.NewContext(dT, 3)
 	tpsOpt := DefaultTPSOptions()
 	tpsOpt.TransformBudget = 32
-	tps := RunTPS(cT, tpsOpt)
+	tps, err := RunTPS(cT, tpsOpt)
 	cT.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	t.Logf("SPR slack %.0f vs TPS slack %.0f (cycle impr %.1f%%)",
 		spr.WorstSlack, tps.WorstSlack, scenario.CycleImprovementPct(spr, tps))
@@ -107,7 +119,10 @@ func TestScenarioScheduleGating(t *testing.T) {
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 4
 	opt.SkipRouting = true
-	m := RunTPS(c, opt)
+	m, err := RunTPS(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Clock and scan weights restored by the end (not parked at zero).
 	c.NL.Nets(func(n *netlist.Net) {
 		if n.Kind == netlist.Clock && n.Weight == 0 {
@@ -125,7 +140,11 @@ func TestTPSDeterministic(t *testing.T) {
 		opt := DefaultTPSOptions()
 		opt.TransformBudget = 8
 		opt.SkipRouting = true
-		return RunTPS(c, opt)
+		m, err := RunTPS(c, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	a, b := run(), run()
 	if a.WorstSlack != b.WorstSlack || a.AreaUm2 != b.AreaUm2 || a.SteinerWireUm != b.SteinerWireUm {

@@ -16,7 +16,10 @@ func TestTPSWithoutVirtualDiscretization(t *testing.T) {
 	opt.VirtualDiscretization = false
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	m := RunTPS(c, opt)
+	m, err := RunTPS(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.ICells == 0 {
 		t.Fatal("no metrics")
 	}
@@ -33,7 +36,10 @@ func TestTPSWithoutReflow(t *testing.T) {
 	opt.DisableReflow = true
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	m := RunTPS(c, opt)
+	m, err := RunTPS(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.ICells == 0 {
 		t.Fatal("no metrics")
 	}
@@ -47,7 +53,9 @@ func TestTPSTraditionalClockPath(t *testing.T) {
 	opt.DisableClockScanSchedule = true
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	RunTPS(c, opt)
+	if _, err := RunTPS(c, opt); err != nil {
+		t.Fatal(err)
+	}
 	// Clock pins must still all be driven after the late optimization.
 	c.NL.Gates(func(g *netlist.Gate) {
 		if g.IsSequential() {
@@ -68,7 +76,10 @@ func TestSPRLeavesLegalPlacementAndClocks(t *testing.T) {
 	opt := DefaultSPROptions()
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	m := RunSPR(c, opt)
+	m, err := RunSPR(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Iterations < 2 {
 		t.Fatalf("iterations = %d", m.Iterations)
 	}
@@ -92,7 +103,10 @@ func TestEvaluateFieldsConsistent(t *testing.T) {
 	opt := DefaultTPSOptions()
 	opt.SkipRouting = true
 	opt.TransformBudget = 4
-	m := RunTPS(c, opt)
+	m, err := RunTPS(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.CycleAchieved != c.Period-m.WorstSlack {
 		t.Errorf("cycle %g != period %g − slack %g", m.CycleAchieved, c.Period, m.WorstSlack)
 	}
@@ -114,7 +128,9 @@ func TestNoSizelessGatesEscapeEitherFlow(t *testing.T) {
 		opt := DefaultTPSOptions()
 		opt.SkipRouting = true
 		opt.TransformBudget = 4
-		RunTPS(c, opt)
+		if _, err := RunTPS(c, opt); err != nil {
+			t.Fatal(err)
+		}
 		c.NL.Gates(func(g *netlist.Gate) {
 			if !g.Fixed && !g.IsPad() && g.Cell.Function != cell.FuncClkBuf && g.SizeIdx < 0 {
 				t.Fatalf("seed %d: %s sizeless at end", seed, g.Name)

@@ -15,13 +15,16 @@ import (
 // compareRuns executes the engine flow and the legacy flow on identical
 // same-seed designs and compares everything except wall-clock.
 func compareRuns(t *testing.T, name string, workers int,
-	engine func(*scenario.Context) scenario.Metrics, legacy func(*scenario.Context) scenario.Metrics) {
+	engine func(*scenario.Context) (scenario.Metrics, error), legacy func(*scenario.Context) scenario.Metrics) {
 	t.Helper()
 
 	dE := smallDesign(11)
 	cE := scenario.NewContext(dE, 11)
 	cE.SetWorkers(workers)
-	gotM := engine(cE)
+	gotM, err := engine(cE)
+	if err != nil {
+		t.Fatalf("%s workers=%d: engine flow: %v", name, workers, err)
+	}
 	gotS := cE.AnalyzerStats()
 	cE.Close()
 
@@ -48,7 +51,7 @@ func TestGoldenTPSEquivalence(t *testing.T) {
 		workers := workers
 		t.Run(map[int]string{1: "workers=1", 8: "workers=8"}[workers], func(t *testing.T) {
 			compareRuns(t, "TPS", workers,
-				func(c *scenario.Context) scenario.Metrics { return RunTPS(c, opt) },
+				func(c *scenario.Context) (scenario.Metrics, error) { return RunTPS(c, opt) },
 				func(c *scenario.Context) scenario.Metrics { return runTPSLegacy(c, opt) })
 		})
 	}
@@ -68,7 +71,7 @@ func TestGoldenTPSEquivalenceAblations(t *testing.T) {
 	opt.SkipRouting = true
 	opt.Step = 10
 	compareRuns(t, "TPS-ablated", 1,
-		func(c *scenario.Context) scenario.Metrics { return RunTPS(c, opt) },
+		func(c *scenario.Context) (scenario.Metrics, error) { return RunTPS(c, opt) },
 		func(c *scenario.Context) scenario.Metrics { return runTPSLegacy(c, opt) })
 }
 
@@ -79,7 +82,7 @@ func TestGoldenSPREquivalence(t *testing.T) {
 		workers := workers
 		t.Run(map[int]string{1: "workers=1", 8: "workers=8"}[workers], func(t *testing.T) {
 			compareRuns(t, "SPR", workers,
-				func(c *scenario.Context) scenario.Metrics { return RunSPR(c, opt) },
+				func(c *scenario.Context) (scenario.Metrics, error) { return RunSPR(c, opt) },
 				func(c *scenario.Context) scenario.Metrics { return runSPRLegacy(c, opt) })
 		})
 	}

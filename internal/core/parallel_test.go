@@ -19,7 +19,10 @@ func runWithWorkers(t *testing.T, workers int) (scenario.Metrics, scenario.Analy
 	c.SetWorkers(workers)
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 16
-	m := RunTPS(c, opt)
+	m, err := RunTPS(c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return m, c.AnalyzerStats()
 }
 
@@ -159,7 +162,9 @@ func TestEvaluateMatchesStandaloneAnalyzers(t *testing.T) {
 	opt := DefaultTPSOptions()
 	opt.TransformBudget = 8
 	opt.SkipRouting = true
-	RunTPS(c, opt)
+	if _, err := RunTPS(c, opt); err != nil {
+		t.Fatal(err)
+	}
 
 	m := c.Evaluate("probe")
 	rep := congestion.AnalyzeN(c.NL, c.St, c.Im, c.Workers)

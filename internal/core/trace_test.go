@@ -21,7 +21,10 @@ func TestTracingLeavesResultsIdentical(t *testing.T) {
 		}
 		opt := DefaultTPSOptions()
 		opt.TransformBudget = 16
-		m := RunTPS(c, opt)
+		m, err := RunTPS(c, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
 		m.CPUSeconds = 0
 		return outcome{m: m, st: c.AnalyzerStats()}
 	}

@@ -15,7 +15,8 @@ import (
 // that fails later (NaN/negative coordinates, duplicate names, broken
 // back-references). Accepted designs must survive a Write→Read round
 // trip, and a State fork of the design must equal that round trip in
-// full state.
+// full state, with Steiner trees seeded from the State equal to a fresh
+// build (checkForkTrees).
 func FuzzRead(f *testing.F) {
 	f.Add("design d\nperiod 1000\nchip 100 100\nnet n1\ngate g1 INV size=X1 at 5 5 A=n1\n")
 	f.Add("# comment\nnet clk clock\nnet s scan\n")
@@ -81,6 +82,7 @@ func FuzzRead(f *testing.F) {
 		if got, want := dump(t, fk), dump(t, rt); got != want {
 			t.Fatalf("fork differs from Read(Write(d)):\n%s\ninput: %q", firstDiff(got, want), in)
 		}
+		checkForkTrees(t, CaptureDesign(d))
 	})
 }
 

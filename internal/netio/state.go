@@ -2,11 +2,14 @@ package netio
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"tps/internal/cell"
 	"tps/internal/gen"
 	"tps/internal/netlist"
+	"tps/internal/par"
+	"tps/internal/steiner"
 )
 
 // State is the in-memory design snapshot: everything a transform may
@@ -14,7 +17,9 @@ import (
 // positions, flags, pin→net bindings, net weights, liveness tombstones),
 // the gate and net names, and — from CaptureDesign — the design frame.
 // It is keyed by ID and read-only after capture, apart from the atomic
-// Forks counter. Restore rewinds the *same* netlist in place, so
+// Forks counter and the forks' Steiner trees, the one part written
+// lazily: Trees builds them once, on first use, and they are read-only
+// from then on. Restore rewinds the *same* netlist in place, so
 // analyzers stay subscribed and hear every reverse edit; the scenario
 // engine does this when a protected step is rejected. Fork builds a
 // fresh, independent design; races, autotune and the tpsd design store
@@ -28,6 +33,9 @@ type State struct {
 	gates  []gateState
 	nets   []netState
 	forks  atomic.Int64
+
+	treesOnce sync.Once
+	trees     []*steiner.Tree
 }
 
 type gateState struct {
@@ -104,6 +112,24 @@ func (s *State) Forks() int { return int(s.forks.Load()) }
 // Read(Write(d)). Later edits to a fork never reach the State.
 func (s *State) Fork() *gen.Design {
 	s.forks.Add(1)
+	return s.fork()
+}
+
+// Trees returns the Steiner tree of every live net of a fork, indexed by
+// the fork's net ID. The first call builds them with steiner's own
+// builder on a private fork that Forks does not count; every call, from
+// any goroutine, returns those same trees. Since every fork lays out
+// its nets and their pins identically, they are exactly the trees a
+// fresh Steiner cache builds on any fork before its first edit, which is
+// what lets every fork's cache start from them (steiner.Cache.Seed).
+// Callers must not modify them.
+func (s *State) Trees() []*steiner.Tree {
+	s.treesOnce.Do(func() { s.trees = steiner.BuildAll(s.fork().NL, par.Workers()) })
+	return s.trees
+}
+
+// fork is Fork without the count.
+func (s *State) fork() *gen.Design {
 	nl := netlist.New(s.name, s.lib)
 	nets := make([]*netlist.Net, len(s.nets))
 	for id := range s.nets {

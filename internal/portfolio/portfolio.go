@@ -364,8 +364,7 @@ func (r *race) exec(ctx context.Context, e *Entrant, v *Verdict, tr *entrantTrac
 	if err != nil {
 		return nil, err
 	}
-	gd := r.base.Fork()
-	c := scenario.NewContext(gd, e.Seed)
+	c, gd := scenario.ForkContext(r.base, e.Seed)
 	defer c.Close()
 	ew := r.spec.EntrantWorkers
 	if ew < 1 {

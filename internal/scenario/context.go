@@ -24,6 +24,7 @@ import (
 	"tps/internal/delay"
 	"tps/internal/gen"
 	"tps/internal/image"
+	"tps/internal/netio"
 	"tps/internal/netlist"
 	"tps/internal/par"
 	"tps/internal/partition"
@@ -170,6 +171,18 @@ func NewContext(d *gen.Design, seed int64) *Context {
 	}
 	c.SetWorkers(par.Workers())
 	return c
+}
+
+// ForkContext forks s and builds the analyzer stack over the fork, as
+// NewContext does, with the Steiner cache seeded by the State's shared
+// trees (netio.State.Trees), so a fork rebuilds only the trees its own
+// edits touch. This is exact: the seeded trees are those a fresh cache
+// would build on the fork. It returns the fork too.
+func ForkContext(s *netio.State, seed int64) (*Context, *gen.Design) {
+	gd := s.Fork()
+	c := NewContext(gd, seed)
+	c.St.Seed(s.Trees())
+	return c, gd
 }
 
 // SetWorkers sets the analyzer fan-out width and propagates it to the

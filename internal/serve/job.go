@@ -87,9 +87,11 @@ func (j *Job) requestCancel() {
 	}
 }
 
-// runJob executes one job end to end: state transitions, worker-budget
-// grant, the design's turn, the job kind's run on private forks, and the
-// terminal flow_end trace record. Called from a worker goroutine.
+// runJob executes one job end to end: state transitions, the design's
+// turn, worker-budget grant, the job kind's run on private forks, and
+// the terminal flow_end trace record. Called from a worker goroutine.
+// The grant waits for the design's turn, so a job queued behind another
+// job on its design is not granted workers while that job holds them.
 func (s *Server) runJob(j *Job) {
 	j.mu.Lock()
 	if j.cancelReq {
@@ -107,14 +109,13 @@ func (s *Server) runJob(j *Job) {
 	j.mu.Unlock()
 	defer cancel()
 
+	j.sd.mu.Lock()
+	defer j.sd.mu.Unlock()
 	granted := s.budget.grant(j.want)
 	defer s.budget.release(granted)
 	j.mu.Lock()
 	j.granted = granted
 	j.mu.Unlock()
-
-	j.sd.mu.Lock()
-	defer j.sd.mu.Unlock()
 	j.finish(j.run(ctx, j.sd.base, j.ID, granted, j.hub))
 }
 
@@ -140,13 +141,14 @@ func bindRun(req *SubmitRequest) (runFunc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("parse scenario: %w", err)
 	}
-	// One fresh fork and analyzer stack per run: correctness over
-	// analyzer warmness. The warm part of a stored-design re-run is the
-	// skipped .tpn parse. A panic in the flow becomes the job's error,
-	// stack included, so it fails this job and the worker keeps serving.
+	// One fresh fork and analyzer stack per run, its Steiner cache seeded
+	// with the State's shared trees: the warm part of a stored-design
+	// re-run is the skipped .tpn parse and tree build. A panic in the
+	// flow becomes the job's error, stack included, so it fails this job
+	// and the worker keeps serving.
 	return func(ctx context.Context, base *netio.State, _ string, workers int, tr scenario.Tracer) (o outcome, err error) {
 		defer scenario.CatchPanic(&err)
-		c := scenario.NewContext(base.Fork(), seed)
+		c, _ := scenario.ForkContext(base, seed)
 		defer c.Close()
 		c.SetWorkers(workers)
 		c.Trace = tr

@@ -503,6 +503,48 @@ func TestConcurrentJobs(t *testing.T) {
 	}
 }
 
+// A job queued behind another job on its stored design takes its worker
+// grant only when its turn comes: while the first job holds the whole
+// budget, the second holds no grant, and once the first ends the second
+// runs at the full width instead of the one-worker floor.
+func TestGrantWaitsForDesignTurn(t *testing.T) {
+	_, hs := newServer(t, serve.Config{Concurrency: 2, Workers: 2})
+	base := hs.URL
+	resp, err := http.Post(base+"/designs?name=turn", "text/plain", strings.NewReader(tpnText(t, 13)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+
+	_, first := submit(t, base, serve.SubmitRequest{Design: "turn", Scenario: stallScript})
+	deadline := time.Now().Add(15 * time.Second)
+	for getJob(t, base, first.JobID).Workers != 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("first job never held the whole budget: %+v", getJob(t, base, first.JobID))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	_, second := submit(t, base, serve.SubmitRequest{Design: "turn", Scenario: quickScript})
+	waitState(t, base, second.JobID, serve.JobRunning)
+	// The second job is running but waits for the design; it must not
+	// take a grant meanwhile.
+	for i := 0; i < 20; i++ {
+		if w := getJob(t, base, second.JobID).Workers; w != 0 {
+			t.Fatalf("second job granted %d workers while the first held its design", w)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	resp, err = http.Post(base+"/jobs/"+first.JobID+"/cancel", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	waitState(t, base, first.JobID, serve.JobCanceled, serve.JobDone) // done if its stall ran out
+	if info := waitState(t, base, second.JobID, serve.JobDone); info.Workers != 2 {
+		t.Fatalf("second job ran at width %d after the first ended, want 2", info.Workers)
+	}
+}
+
 // badSubmitRequests are malformed plain submissions; nl is a valid
 // inline netlist.
 func badSubmitRequests(nl string) []serve.SubmitRequest {

@@ -11,9 +11,12 @@ import (
 // netio.State (an inline netlist gets an unshared one). Every job on it
 // runs on private forks of that State (a race or search forks once per
 // entrant), so warm re-runs skip the .tpn parse and no run can leave
-// anything behind for the next. Jobs on one design still hold mu for
-// their whole run: letting them overlap would multiply the design's live
-// copies in memory.
+// anything behind for the next. The one part of the State written after
+// upload is its forks' Steiner trees: the first job to fork builds them,
+// and every later fork seeds its Steiner cache with them read-only
+// (netio.State.Trees), so an upload does no tree work. Jobs on one
+// design still hold mu for their whole run: letting them overlap would
+// multiply the design's live copies in memory.
 type storedDesign struct {
 	mu   sync.Mutex
 	base *netio.State

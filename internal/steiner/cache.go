@@ -25,14 +25,18 @@ import (
 // worker pool and then leave the cache in a fully valid,
 // read-only-queryable state. Tree construction is a pure function of the
 // net's pin locations, so the batch result is identical to lazy serial
-// construction.
+// construction — and a cache may start from trees built elsewhere (Seed),
+// which any number of caches then share read-only.
 type Cache struct {
 	nl *netlist.Netlist
 	// trees is indexed by net ID. A slot is only meaningful when the
 	// matching tvalid flag is set; invalidation clears the flag but keeps
-	// the Tree object, so the rebuild reuses its node/edge storage.
+	// the Tree object, so the rebuild reuses its node/edge storage —
+	// unless the slot is shared (installed by Seed): the cache never
+	// writes into a shared tree, so its rebuild gets a private one.
 	trees  []*Tree
 	tvalid []bool
+	shared []bool
 
 	// builders hold per-chunk construction scratch for buildBatch (chunk k
 	// uses builders[k]; par chunking is deterministic) plus one extra slot
@@ -66,7 +70,7 @@ type Cache struct {
 	Workers int
 
 	// Rebuilds counts tree constructions since creation — tests use it to
-	// prove incrementality.
+	// prove incrementality. Seeded trees are not constructions.
 	Rebuilds int
 }
 
@@ -80,12 +84,52 @@ func NewCache(nl *netlist.Netlist) *Cache {
 // Close unsubscribes the cache.
 func (c *Cache) Close() { c.nl.Unobserve(c) }
 
+// BuildAll returns the tree of every live net of nl, indexed by net ID
+// (nil at dead IDs), built as a Cache builds them, over at most workers
+// goroutines.
+func BuildAll(nl *netlist.Netlist, workers int) []*Tree {
+	c := &Cache{nl: nl}
+	c.PrepareAll(workers)
+	return c.trees
+}
+
+// Seed installs prebuilt trees, indexed by net ID (nil entries are
+// skipped), as valid shared slots. It is for a cache that has built
+// nothing yet, on a netlist whose nets have exactly the pins, in pin
+// order and place, that the trees were built from: a tree is a pure
+// function of its net's pin points, so a seeded slot holds what a build
+// would. The trees stay shared with every other cache seeded from them:
+// the cache only reads them, and rebuilding a shared slot after an edit
+// builds a private tree. Seeding does not count in Rebuilds.
+func (c *Cache) Seed(trees []*Tree) {
+	c.grow(len(trees) - 1)
+	for id, t := range trees {
+		if t != nil {
+			c.trees[id], c.tvalid[id], c.shared[id] = t, true, true
+		}
+	}
+}
+
+// slot returns the tree a rebuild of net id writes into: the slot's own,
+// or a new one when the slot is empty or shared.
+func (c *Cache) slot(id int) *Tree {
+	t := c.trees[id]
+	if t == nil || c.shared[id] {
+		t = &Tree{}
+		c.trees[id], c.shared[id] = t, false
+	}
+	return t
+}
+
 func (c *Cache) grow(id int) {
 	for len(c.trees) <= id {
 		c.trees = append(c.trees, nil)
 	}
 	for len(c.tvalid) <= id {
 		c.tvalid = append(c.tvalid, false)
+	}
+	for len(c.shared) <= id {
+		c.shared = append(c.shared, false)
 	}
 	for len(c.isDirty) <= id {
 		c.isDirty = append(c.isDirty, false)
@@ -155,10 +199,11 @@ func (c *Cache) PrepareNets(workers int, nets []*netlist.Net) int {
 
 // buildBatch constructs the trees of the given stale nets in parallel.
 // Each worker writes only its own nets' slots, rebuilding in place into
-// the nets' existing Tree objects with chunk-private builder scratch. Pin
-// points are gathered from the netlist's CSR membership and position slabs
-// — two flat array reads per pin instead of a pointer chase — which is why
-// the CSR is refreshed (serially) before the fan-out.
+// the nets' existing private Tree objects with chunk-private builder
+// scratch. Pin points are gathered from the netlist's CSR membership and
+// position slabs — two flat array reads per pin instead of a pointer
+// chase — which is why the CSR is refreshed (serially) before the
+// fan-out.
 func (c *Cache) buildBatch(workers int, stale []*netlist.Net) {
 	if len(stale) == 0 {
 		return
@@ -181,12 +226,7 @@ func (c *Cache) buildBatch(workers int, stale []*netlist.Net) {
 				g := pinGate[pid]
 				pts = append(pts, Point{posX[g], posY[g]})
 			}
-			t := c.trees[id]
-			if t == nil {
-				t = &Tree{}
-				c.trees[id] = t
-			}
-			b.buildInto(t, pts)
+			b.buildInto(c.slot(id), pts)
 			c.tvalid[id] = true
 		}
 		c.ptScratch[chunk] = pts
@@ -211,11 +251,7 @@ func (c *Cache) Tree(n *netlist.Net) *Tree {
 		pts = append(pts, Point{p.X(), p.Y()})
 	}
 	c.ptScratch[0] = pts
-	t := c.trees[n.ID]
-	if t == nil {
-		t = &Tree{}
-		c.trees[n.ID] = t
-	}
+	t := c.slot(n.ID)
 	b.buildInto(t, pts)
 	c.tvalid[n.ID] = true
 	c.Rebuilds++

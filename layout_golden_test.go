@@ -66,10 +66,14 @@ func TestMetricsBitIdenticalAfterLayoutRefactor(t *testing.T) {
 			d := NewDesign(Table1Params(1, 0.05))
 			d.SetWorkers(w)
 			var m Metrics
+			var err error
 			if flow == "TPS" {
-				m = d.RunTPS(DefaultTPSOptions())
+				m, err = d.RunTPS(DefaultTPSOptions())
 			} else {
-				m = d.RunSPR(DefaultSPROptions())
+				m, err = d.RunSPR(DefaultSPROptions())
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 			s := d.Stats()
 			d.Close()

@@ -25,7 +25,10 @@ func TestMillionCellFlow(t *testing.T) {
 
 	opt := DefaultTPSOptions()
 	opt.Step = 100 // one coarse status round: scale validation, not QoR tuning
-	m := d.RunTPS(opt)
+	m, err := d.RunTPS(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := d.Stats()
 	fmt.Printf("E2E 1M TPS done in %v icells=%d slack=%.2f tns=%.2f wire=%.0f routed=%.0f ovf=%d recomputes=%d\n",
 		time.Since(t0), m.ICells, m.WorstSlack, m.TNS, m.SteinerWireUm, m.RoutedWireUm, m.RouteOverflows, s.TimingRecomputes)

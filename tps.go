@@ -8,7 +8,10 @@
 // Quick start:
 //
 //	d := tps.NewDesign(tps.DesignParams{NumGates: 2000, Levels: 10, Seed: 1})
-//	m := d.RunTPS(tps.DefaultTPSOptions())
+//	m, err := d.RunTPS(tps.DefaultTPSOptions())
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	fmt.Printf("worst slack %.0f ps, cycle %.0f ps\n", m.WorstSlack, m.CycleAchieved)
 //
 // The package also implements the traditional synthesize–place–resynthesize
@@ -228,8 +231,8 @@ func Load(r io.Reader) (*Design, error) {
 // with its own analyzers: the design Load would read back from the
 // winner's saved .tpn, built without the text.
 func Adopt(winner *netio.State) *Design {
-	gd := winner.Fork()
-	return &Design{ctx: scenario.NewContext(gd, 1), gd: gd}
+	c, gd := scenario.ForkContext(winner, 1)
+	return &Design{ctx: c, gd: gd}
 }
 
 // Save writes the design's current netlist and placement as .tpn.
@@ -259,11 +262,13 @@ func (d *Design) Chip() (w, h float64) { return d.ctx.ChipW, d.ctx.ChipH }
 func (d *Design) Context() *scenario.Context { return d.ctx }
 
 // RunTPS executes the transformational placement and synthesis scenario
-// (Figure 5) from the bare netlist.
-func (d *Design) RunTPS(opt TPSOptions) Metrics { return core.RunTPS(d.ctx, opt) }
+// (Figure 5) from the bare netlist. It returns the engine's error if the
+// run fails, for example on an unknown objective in Context().Params.
+func (d *Design) RunTPS(opt TPSOptions) (Metrics, error) { return core.RunTPS(d.ctx, opt) }
 
-// RunSPR executes the traditional baseline flow.
-func (d *Design) RunSPR(opt SPROptions) Metrics { return core.RunSPR(d.ctx, opt) }
+// RunSPR executes the traditional baseline flow, returning its error as
+// RunTPS does.
+func (d *Design) RunSPR(opt SPROptions) (Metrics, error) { return core.RunSPR(d.ctx, opt) }
 
 // RunScenario executes a parsed scenario script through the engine. The
 // design's accept/reject counters for protected steps are afterwards

@@ -62,12 +62,33 @@ func TestRunTPSPublicAPI(t *testing.T) {
 	opt := DefaultTPSOptions()
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	m := d.RunTPS(opt)
+	m, err := d.RunTPS(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Flow != "TPS" {
 		t.Fatalf("flow %q", m.Flow)
 	}
 	if err := d.CheckLegal(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A failed built-in flow is an error, not a panic: an objective outside
+// the engine's vocabulary fails RunTPS and RunSPR before any step runs.
+func TestRunFlowsReturnErrors(t *testing.T) {
+	runs := map[string]func(*Design) (Metrics, error){
+		"TPS": func(d *Design) (Metrics, error) { return d.RunTPS(DefaultTPSOptions()) },
+		"SPR": func(d *Design) (Metrics, error) { return d.RunSPR(DefaultSPROptions()) },
+	}
+	for flow, run := range runs {
+		d := NewDesign(DesignParams{Name: "bad", NumGates: 120, Levels: 5, Seed: 1})
+		d.Context().Params = map[string]string{"objective": "area"}
+		_, err := run(d)
+		d.Close()
+		if err == nil || !strings.Contains(err.Error(), `unknown objective "area"`) {
+			t.Errorf("%s with objective=area: err = %v, want unknown objective", flow, err)
+		}
 	}
 }
 
@@ -86,7 +107,9 @@ func TestWireLoadHistogramsAPI(t *testing.T) {
 	opt := DefaultTPSOptions()
 	opt.SkipRouting = true
 	opt.TransformBudget = 8
-	d.RunTPS(opt)
+	if _, err := d.RunTPS(opt); err != nil {
+		t.Fatal(err)
+	}
 	hs := d.WireLoadHistograms([]float64{0, 0.2}, 10, 50)
 	if len(hs) != 2 {
 		t.Fatalf("histograms %d", len(hs))
