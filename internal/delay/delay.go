@@ -15,6 +15,9 @@ import (
 	"tps/internal/steiner"
 )
 
+// intraBinFactor scales the intra-bin wire floor (see Calculator.BinDim).
+const intraBinFactor = 0.35
+
 // Mode selects the delay model in force.
 type Mode int
 
@@ -87,12 +90,10 @@ type Calculator struct {
 	// BinDim, when positive, enables the §3 Rent-style intra-bin wire
 	// estimate: pins that share a bin have coincident coordinates, so the
 	// Steiner length under-reports the wire a k-pin net will eventually
-	// need. Each net's load is floored at IntraBinFactor·BinDim·(k−1) of
+	// need. Each net's load is floored at intraBinFactor·BinDim·(k−1) of
 	// wire. The flow keeps BinDim equal to the current bin size, so the
 	// correction shrinks automatically as placement refines.
 	BinDim float64
-	// IntraBinFactor scales the floor (default 0.35).
-	IntraBinFactor float64
 
 	nl *netlist.Netlist
 	// nets memoizes per-net solutions by net ID; a slot is meaningful only
@@ -158,12 +159,11 @@ func (s *solveScratch) ensureNodes(nn int) {
 // NewCalculator builds a calculator over nl using the shared Steiner cache.
 func NewCalculator(nl *netlist.Netlist, st *steiner.Cache, mode Mode) *Calculator {
 	c := &Calculator{
-		Mode:           mode,
-		Tech:           nl.Lib.Tech,
-		St:             st,
-		WLM:            DefaultWLM(nl.Lib.Tech),
-		IntraBinFactor: 0.35,
-		nl:             nl,
+		Mode: mode,
+		Tech: nl.Lib.Tech,
+		St:   st,
+		WLM:  DefaultWLM(nl.Lib.Tech),
+		nl:   nl,
 	}
 	nl.Observe(c)
 	return c
@@ -345,7 +345,7 @@ func (c *Calculator) solveInto(n *netlist.Net, s *solveScratch) *netTiming {
 	// wire the net will need once the bins refine.
 	var extraCap float64
 	if c.BinDim > 0 {
-		if floor := c.IntraBinFactor * c.BinDim * float64(len(pins)-1); floor > t.Length {
+		if floor := intraBinFactor * c.BinDim * float64(len(pins)-1); floor > t.Length {
 			extraCap = (floor - t.Length) * c.Tech.CwFfPerUm
 		}
 	}

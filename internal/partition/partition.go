@@ -27,6 +27,15 @@ import (
 // sequences differ from the pre-PR-9 engine.
 const pcgStream = 0x9e3779b97f4a7c15
 
+// Multilevel tuning: restarts initial partitions are tried at the
+// coarsest level, coarsening stops at or below coarsenTo vertices, and
+// each level runs at most maxPasses FM passes.
+const (
+	restarts  = 4
+	coarsenTo = 120
+	maxPasses = 4
+)
+
 // Stats counts FM gain-structure traffic: how many entries the refinement
 // passes pushed into and popped out of the gain priority structure, how
 // many of the pops were stale (superseded by a newer push before they
@@ -101,13 +110,6 @@ type Options struct {
 	Tolerance float64
 	// Seed drives all randomness (deterministic runs).
 	Seed int64
-	// Restarts is the number of initial partitions tried at the coarsest
-	// level.
-	Restarts int
-	// MaxPasses bounds FM passes per level.
-	MaxPasses int
-	// CoarsenTo stops coarsening at/below this vertex count.
-	CoarsenTo int
 	// Workers bounds how many initial-partition restarts run concurrently.
 	// Each restart draws from its own seed-derived RNG stream and the
 	// winner is picked by (cut, restart index), so the result is identical
@@ -130,9 +132,6 @@ func DefaultOptions(seed int64) Options {
 		TargetFrac: 0.5,
 		Tolerance:  0.1,
 		Seed:       seed,
-		Restarts:   4,
-		MaxPasses:  4,
-		CoarsenTo:  120,
 	}
 }
 
@@ -190,15 +189,6 @@ func Cut(h *Hypergraph, part []int8) float64 {
 // Bipartition splits h into two sides minimizing weighted cut subject to
 // the area balance constraint, using the multilevel scheme.
 func Bipartition(h *Hypergraph, opt Options) Result {
-	if opt.Restarts <= 0 {
-		opt.Restarts = 1
-	}
-	if opt.MaxPasses <= 0 {
-		opt.MaxPasses = 4
-	}
-	if opt.CoarsenTo <= 0 {
-		opt.CoarsenTo = 120
-	}
 	if opt.TargetFrac <= 0 || opt.TargetFrac >= 1 {
 		opt.TargetFrac = 0.5
 	}
@@ -212,7 +202,7 @@ func Bipartition(h *Hypergraph, opt Options) Result {
 
 	levels := []*Hypergraph{normalize(h)}
 	maps := [][]int32{}
-	for levels[len(levels)-1].NumV > opt.CoarsenTo {
+	for levels[len(levels)-1].NumV > coarsenTo {
 		cur := levels[len(levels)-1]
 		next, vmap := coarsen(cur, rng, sc)
 		if next.NumV >= cur.NumV*9/10 {
@@ -420,7 +410,7 @@ func coarsen(h *Hypergraph, rng *rand.Rand, sc *fmScratch) (*Hypergraph, []int32
 	return out, vmap
 }
 
-// initialPartition tries Restarts BFS-grown partitions and keeps the
+// initialPartition tries restarts BFS-grown partitions and keeps the
 // lowest-cut result. The restarts are independent — each draws from its own
 // RNG stream derived from (Seed, restart index) — so they run concurrently
 // under opt.Workers, and the winner is chosen by (cut, restart index): the
@@ -433,15 +423,15 @@ func initialPartition(h *Hypergraph, opt Options) []int8 {
 	}
 	target := totalArea * opt.TargetFrac
 
-	parts := make([][]int8, opt.Restarts)
-	cuts := make([]float64, opt.Restarts)
-	par.ForEach(opt.Workers, opt.Restarts, func(r int) {
+	parts := make([][]int8, restarts)
+	cuts := make([]float64, restarts)
+	par.ForEach(opt.Workers, restarts, func(r int) {
 		rng := rand.New(rand.NewPCG(uint64(par.DeriveSeed(opt.Seed, 1, int64(r))), pcgStream))
 		part := growPartition(h, inc, target, rng)
 		parts[r], cuts[r] = part, Cut(h, part)
 	})
 	best := 0
-	for r := 1; r < opt.Restarts; r++ {
+	for r := 1; r < restarts; r++ {
 		if cuts[r] < cuts[best] {
 			best = r
 		}
@@ -932,7 +922,7 @@ func (sc *fmScratch) buildIncidence(h *Hypergraph) {
 }
 
 // refine runs FM passes on part in place until a pass yields no
-// improvement or MaxPasses is hit.
+// improvement or maxPasses is hit.
 func refine(h *Hypergraph, part []int8, opt Options, sc *fmScratch) {
 	sc.buildIncidence(h)
 	totalArea := 0.0
@@ -943,7 +933,7 @@ func refine(h *Hypergraph, part []int8, opt Options, sc *fmScratch) {
 	lo := target - totalArea*opt.Tolerance
 	hi := target + totalArea*opt.Tolerance
 
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+	for pass := 0; pass < maxPasses; pass++ {
 		if !fmPass(h, part, lo, hi, sc) {
 			break
 		}

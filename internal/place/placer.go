@@ -18,6 +18,14 @@ import (
 	"tps/internal/steiner"
 )
 
+const (
+	// maxNetPins skips nets larger than this during partitioning (huge
+	// nets carry no cut signal and cost quadratic time).
+	maxNetPins = 128
+	// tolerance is the per-cut area balance tolerance.
+	tolerance = 0.12
+)
+
 // Placer drives the min-cut placement of a netlist over a bin image. It is
 // a set of transforms, not a monolithic placer: Partition and Reflow may
 // be interleaved with any synthesis transform, which is the core of the
@@ -26,11 +34,6 @@ type Placer struct {
 	NL   *netlist.Netlist
 	Im   *image.Image
 	Seed int64
-	// MaxNetPins skips nets larger than this during partitioning (huge
-	// nets carry no cut signal and cost quadratic time).
-	MaxNetPins int
-	// Tolerance is the per-cut area balance tolerance.
-	Tolerance float64
 	// Workers bounds the transform execution parallelism (quadrisection
 	// cells, partitioner multi-starts, reflow lanes). Results are
 	// bit-identical at any value; <=1 runs serially.
@@ -63,8 +66,7 @@ func (p *Placer) workers() int {
 
 // New creates a placer. The image must be at level 0 (fresh).
 func New(nl *netlist.Netlist, im *image.Image, seed int64) *Placer {
-	p := &Placer{NL: nl, Im: im, Seed: seed, MaxNetPins: 128, Tolerance: 0.12,
-		fmPool: partition.NewScratchPool()}
+	p := &Placer{NL: nl, Im: im, Seed: seed, fmPool: partition.NewScratchPool()}
 	p.bisectPool.New = func() any { return new(bisectScratch) }
 	return p
 }
@@ -191,7 +193,7 @@ func (p *Placer) quadrisect(gates []*netlist.Gate, x0, y0, w, h float64, salt in
 	// Stage 1: x-split. Capacity-proportional target from the child bins.
 	capL := p.halfCap(x0, y0, w/2, h)
 	capR := p.halfCap(xm, y0, w/2, h)
-	left, right := p.bisect(gates, axisX, xm, frac(capL, capR), p.Tolerance, par.DeriveSeed(p.Seed, salt, lvl, 0), workers)
+	left, right := p.bisect(gates, axisX, xm, frac(capL, capR), tolerance, par.DeriveSeed(p.Seed, salt, lvl, 0), workers)
 	newX := [2]float64{x0 + w/4, xm + w/4}
 
 	// Stage 2: y-split of each half. The halves are independent (each reads
@@ -213,7 +215,7 @@ func (p *Placer) quadrisect(gates []*netlist.Gate, x0, y0, w, h float64, salt in
 		if hw < 1 {
 			hw = 1
 		}
-		bot, top := p.bisect(half, axisY, ym, frac(capB, capT), p.Tolerance, par.DeriveSeed(p.Seed, salt, lvl, int64(hi)+1), hw)
+		bot, top := p.bisect(half, axisY, ym, frac(capB, capT), tolerance, par.DeriveSeed(p.Seed, salt, lvl, int64(hi)+1), hw)
 		ms := make([]gateMove, 0, len(half))
 		for _, g := range bot {
 			ms = append(ms, gateMove{g, newX[hi], y0 + h/4})
@@ -298,7 +300,7 @@ func (p *Placer) bisect(gates []*netlist.Gate, ax axis, cut float64, targetFrac,
 			}
 			sc.netEp[n.ID] = ep
 			pins := n.Pins()
-			if len(pins) > p.MaxNetPins {
+			if len(pins) > maxNetPins {
 				continue
 			}
 			start := len(sc.slab)
@@ -411,7 +413,7 @@ func grown[T any](s []T, n int) []T {
 
 // pullSide returns the side (0/1) whose connected-pin centroid is closer
 // for a single gate. It sees the same nets the bisection hypergraph does
-// (positive weight, at most MaxNetPins pins): huge and zero-weight nets
+// (positive weight, at most maxNetPins pins): huge and zero-weight nets
 // carry no cut signal, and excluding them here keeps every partitioning
 // decision — and therefore the reflow lane conflict graph — a function of
 // scored nets only.
@@ -423,7 +425,7 @@ func (p *Placer) pullSide(g *netlist.Gate, ax axis, cut float64) int {
 			continue
 		}
 		pins := pin.Net.Pins()
-		if len(pins) > p.MaxNetPins {
+		if len(pins) > maxNetPins {
 			continue
 		}
 		for _, q := range pins {
@@ -530,7 +532,7 @@ func (p *Placer) reflowSweep(ax axis) {
 		for _, g := range merged {
 			area += g.Area(tch)
 		}
-		target, tol := frac(ca, cb), p.Tolerance
+		target, tol := frac(ca, cb), tolerance
 		if area > 0 {
 			loF := math.Max(0, (area-cb)/area)
 			hiF := math.Min(1, ca/area)
@@ -580,7 +582,7 @@ func (p *Placer) reflowSweep(ax axis) {
 			gateLane[g.ID] = int32(l)
 		}
 	}
-	color, ncolors := conflictColors(p.NL, gateLane, lanes, p.MaxNetPins)
+	color, ncolors := conflictColors(p.NL, gateLane, lanes, maxNetPins)
 
 	runLane := func(l int) {
 		if ax == axisX {

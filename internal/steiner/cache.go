@@ -111,13 +111,20 @@ func (c *Cache) Seed(trees []*Tree) {
 }
 
 // slot returns the tree a rebuild of net id writes into: the slot's own,
-// or a new one when the slot is empty or shared.
+// or a new one when the slot is empty or shared. A shared slot's new tree
+// takes the shared tree's capacities, so rebuilding an edited net, which
+// mostly keeps its pin count, appends without regrowing.
 func (c *Cache) slot(id int) *Tree {
 	t := c.trees[id]
-	if t == nil || c.shared[id] {
+	switch {
+	case t == nil:
 		t = &Tree{}
-		c.trees[id], c.shared[id] = t, false
+	case c.shared[id]:
+		t = &Tree{Nodes: make([]Point, 0, cap(t.Nodes)), Edges: make([]Edge, 0, cap(t.Edges))}
+	default:
+		return t
 	}
+	c.trees[id], c.shared[id] = t, false
 	return t
 }
 

@@ -1,6 +1,8 @@
 package steiner
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
 	"tps/internal/cell"
@@ -113,5 +115,43 @@ func TestCacheClose(t *testing.T) {
 	// After Close the cache no longer observes; stale length is expected.
 	if got := c.Length(n); got != 70 {
 		t.Errorf("closed cache recomputed: %g", got)
+	}
+}
+
+// TestSeededRebuildSizedFromSharedTree: the first rebuild of a seeded
+// (shared) slot builds a private tree sized from the shared one, so
+// rebuilding unchanged pins allocates the Tree and its two slices and
+// never regrows them. The builder scratch is warmed by a build of the
+// same nets first, so all but a few counted allocations (the batch's own
+// closure) are a tree's.
+func TestSeededRebuildSizedFromSharedTree(t *testing.T) {
+	nl := totalsDesign(t, 5)
+	trees := BuildAll(nl, 1)
+	c := NewCache(nl)
+	defer c.Close()
+	nets := c.PrepareAll(1)
+	c.Seed(trees)
+	c.InvalidateAll()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	built := c.PrepareAll(1)
+	runtime.ReadMemStats(&after)
+	if built != nets {
+		t.Fatalf("rebuilt %d seeded trees, want %d", built, nets)
+	}
+	if allocs := after.Mallocs - before.Mallocs; allocs > 3*uint64(built)+8 {
+		t.Fatalf("rebuilding %d seeded trees made %d allocations, want at most 3 per tree", built, allocs)
+	}
+	for id, s := range trees {
+		if s == nil {
+			continue
+		}
+		p := c.trees[id]
+		if p == s || c.shared[id] {
+			t.Fatalf("net %d: rebuild wrote into the shared tree", id)
+		}
+		if !slices.Equal(p.Nodes, s.Nodes) || !slices.Equal(p.Edges, s.Edges) || p.Length != s.Length {
+			t.Fatalf("net %d: rebuilt tree differs from the shared one", id)
+		}
 	}
 }

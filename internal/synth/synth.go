@@ -18,6 +18,13 @@ import (
 	"tps/internal/timing"
 )
 
+// minCloneFanout is the smallest fanout worth cloning.
+const minCloneFanout = 4
+
+// maxCapPerX is the electrical limit: a gate at drive X may drive at most
+// maxCapPerX·X fF.
+const maxCapPerX = 80.0
+
 // Optimizer bundles the analyzers and utilities the transforms share.
 type Optimizer struct {
 	NL    *netlist.Netlist
@@ -26,11 +33,6 @@ type Optimizer struct {
 	Reloc *relocate.Relocator
 	// Margin widens the critical region (ps).
 	Margin float64
-	// MinCloneFanout is the smallest fanout worth cloning.
-	MinCloneFanout int
-	// MaxCapPerX is the electrical limit: a gate at drive X may drive at
-	// most MaxCapPerX·X fF.
-	MaxCapPerX float64
 	// MinGain is the smallest timing improvement (ps) that justifies the
 	// area cost of an accepted structural change — the area term of the
 	// paper's "timing, noise and area objectives" scoring.
@@ -54,7 +56,7 @@ type Optimizer struct {
 func New(nl *netlist.Netlist, eng *timing.Engine, im *image.Image, rel *relocate.Relocator) *Optimizer {
 	return &Optimizer{
 		NL: nl, Eng: eng, Im: im, Reloc: rel,
-		Margin: 60, MinCloneFanout: 4, MaxCapPerX: 80, MinGain: 0.5,
+		Margin: 60, MinGain: 0.5,
 	}
 }
 
@@ -134,7 +136,7 @@ func (o *Optimizer) cloneNet(n *netlist.Net) bool {
 	g := d.Gate
 	o.sinkScratch = n.Sinks(o.sinkScratch[:0])
 	sinks := o.sinkScratch
-	if len(sinks) < o.MinCloneFanout {
+	if len(sinks) < minCloneFanout {
 		return false
 	}
 	// Split sinks by the axis with larger spread; the clone takes the far
@@ -543,7 +545,7 @@ func (o *Optimizer) ElectricalCorrection(calc interface{ Load(*netlist.Net) floa
 		g := d.Gate
 		repaired := false
 		for iter := 0; iter < 8; iter++ {
-			limit := o.MaxCapPerX * g.DriveX()
+			limit := maxCapPerX * g.DriveX()
 			load := calc.Load(n)
 			if load <= limit {
 				break
@@ -590,7 +592,7 @@ func (o *Optimizer) bufferNetUnconditional(n *netlist.Net) bool {
 	for _, s := range far {
 		peeled += s.Cap()
 	}
-	si := bc.SizeIndex(peeled / o.MaxCapPerX)
+	si := bc.SizeIndex(peeled / maxCapPerX)
 	if !o.areaOK(bc.Sizes[si].Width * o.NL.Lib.Tech.RowHeight) {
 		return false
 	}

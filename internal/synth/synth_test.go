@@ -272,11 +272,11 @@ func TestElectricalCorrection(t *testing.T) {
 		t.Fatal("violation not repaired")
 	}
 	// After repair the driver's load must be within (possibly upsized) limit.
-	if load := r.calc.Load(n); load > r.opt.MaxCapPerX*drv.DriveX()+1e-6 {
+	if load := r.calc.Load(n); load > maxCapPerX*drv.DriveX()+1e-6 {
 		// A single pass may need a second for extreme loads.
 		r.opt.ElectricalCorrection(r.calc)
-		if load2 := r.calc.Load(n); load2 > r.opt.MaxCapPerX*drv.DriveX()*2 {
-			t.Errorf("load still %g after repairs (limit %g)", load2, r.opt.MaxCapPerX*drv.DriveX())
+		if load2 := r.calc.Load(n); load2 > maxCapPerX*drv.DriveX()*2 {
+			t.Errorf("load still %g after repairs (limit %g)", load2, maxCapPerX*drv.DriveX())
 		}
 	}
 	if err := nl.Check(); err != nil {

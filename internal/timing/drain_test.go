@@ -297,66 +297,84 @@ func (s *drainSide) apply(ed drainEdit) {
 	}
 }
 
-// TestDrainOrderMatchesSortedReference: level buckets drain unsorted on
-// acyclic graphs because the pins of one level are independent. Two
-// engines on identical designs replay the same random moves, resizes,
-// gain changes and buffer insertions and removals; one flushes with
-// Flush, the other with the ID-sorted reference. After every flush their
-// arrival and required times must be bit-identical and their Recomputes
-// equal — on an acyclic design, and on one with a combinational cycle,
-// where Flush keeps the sorted drain.
+// runDrainScript checks that level buckets may drain unsorted on acyclic
+// graphs, because the pins of one level are independent. Two engines on
+// identical designs replay the same steps random moves, resizes, gain
+// changes and buffer insertions and removals, drawn from seed; one
+// flushes with Flush, the other with the ID-sorted reference. After every
+// flush their arrival and required times must be bit-identical and their
+// Recomputes equal — on an acyclic design, and on one with a
+// combinational cycle, where Flush keeps the sorted drain. It returns the
+// number of flushes.
+func runDrainScript(t *testing.T, seed int64, cyclic bool, steps int) int {
+	t.Helper()
+	a, b := newDrainSide(t, cyclic), newDrainSide(t, cyclic)
+	defer a.close()
+	defer b.close()
+	rng := rand.New(rand.NewSource(seed))
+	flushes := 0
+	for step := 0; step < steps; step++ {
+		ed := drainEdit{
+			kind: rng.Intn(6),
+			pick: rng.Intn(1 << 20),
+			dx:   float64(rng.Intn(90) - 40),
+			dy:   float64(rng.Intn(90) - 40),
+			size: rng.Intn(8),
+			gain: 2 + float64(rng.Intn(5)),
+		}
+		if ed.kind == 5 && rng.Intn(4) != 0 {
+			ed.kind = 0 // full invalidations stay rare
+		}
+		a.apply(ed)
+		b.apply(ed)
+		if rng.Intn(3) != 0 {
+			continue // let pending sets build up across several edits
+		}
+		a.eng.Flush()
+		b.eng.flushSorted()
+		flushes++
+		if a.eng.Recomputes != b.eng.Recomputes {
+			t.Fatalf("cyclic=%v step %d: Recomputes %d (Flush) != %d (sorted)",
+				cyclic, step, a.eng.Recomputes, b.eng.Recomputes)
+		}
+		for name, pair := range map[string][2][]float64{
+			"arrival":  {a.eng.arr, b.eng.arr},
+			"required": {a.eng.req, b.eng.req},
+		} {
+			x, y := pair[0], pair[1]
+			if len(x) != len(y) {
+				t.Fatalf("cyclic=%v step %d: %s arrays of %d vs %d pins", cyclic, step, name, len(x), len(y))
+			}
+			for id := range x {
+				if math.Float64bits(x[id]) != math.Float64bits(y[id]) {
+					t.Fatalf("cyclic=%v step %d: pin %d %s %v (Flush) != %v (sorted)",
+						cyclic, step, id, name, x[id], y[id])
+				}
+			}
+		}
+	}
+	if flushes > 0 && (a.eng.HasCycles != cyclic || b.eng.HasCycles != cyclic) {
+		t.Fatalf("cyclic=%v: HasCycles = %v / %v", cyclic, a.eng.HasCycles, b.eng.HasCycles)
+	}
+	return flushes
+}
+
+// TestDrainOrderMatchesSortedReference runs one fixed-seed drain script
+// per design kind.
 func TestDrainOrderMatchesSortedReference(t *testing.T) {
 	for _, cyclic := range []bool{false, true} {
-		a, b := newDrainSide(t, cyclic), newDrainSide(t, cyclic)
-		rng := rand.New(rand.NewSource(2024))
-		flushes := 0
-		for step := 0; step < 400; step++ {
-			ed := drainEdit{
-				kind: rng.Intn(6),
-				pick: rng.Intn(1 << 20),
-				dx:   float64(rng.Intn(90) - 40),
-				dy:   float64(rng.Intn(90) - 40),
-				size: rng.Intn(8),
-				gain: 2 + float64(rng.Intn(5)),
-			}
-			if ed.kind == 5 && rng.Intn(4) != 0 {
-				ed.kind = 0 // full invalidations stay rare
-			}
-			a.apply(ed)
-			b.apply(ed)
-			if rng.Intn(3) != 0 {
-				continue // let pending sets build up across several edits
-			}
-			a.eng.Flush()
-			b.eng.flushSorted()
-			flushes++
-			if a.eng.Recomputes != b.eng.Recomputes {
-				t.Fatalf("cyclic=%v step %d: Recomputes %d (Flush) != %d (sorted)",
-					cyclic, step, a.eng.Recomputes, b.eng.Recomputes)
-			}
-			for name, pair := range map[string][2][]float64{
-				"arrival":  {a.eng.arr, b.eng.arr},
-				"required": {a.eng.req, b.eng.req},
-			} {
-				x, y := pair[0], pair[1]
-				if len(x) != len(y) {
-					t.Fatalf("cyclic=%v step %d: %s arrays of %d vs %d pins", cyclic, step, name, len(x), len(y))
-				}
-				for id := range x {
-					if math.Float64bits(x[id]) != math.Float64bits(y[id]) {
-						t.Fatalf("cyclic=%v step %d: pin %d %s %v (Flush) != %v (sorted)",
-							cyclic, step, id, name, x[id], y[id])
-					}
-				}
-			}
-		}
-		if a.eng.HasCycles != cyclic || b.eng.HasCycles != cyclic {
-			t.Fatalf("cyclic=%v: HasCycles = %v / %v", cyclic, a.eng.HasCycles, b.eng.HasCycles)
-		}
-		if flushes < 50 {
+		if flushes := runDrainScript(t, 2024, cyclic, 400); flushes < 50 {
 			t.Fatalf("cyclic=%v: only %d flushes", cyclic, flushes)
 		}
-		a.close()
-		b.close()
 	}
+}
+
+// FuzzDrainOrderEquivalence runs fuzzed drain scripts: a seed for the
+// edits, an acyclic or cyclic design, and an edit count (at most 400).
+func FuzzDrainOrderEquivalence(f *testing.F) {
+	f.Add(int64(2024), false, uint16(400))
+	f.Add(int64(7), true, uint16(150))
+	f.Fuzz(func(t *testing.T, seed int64, cyclic bool, edits uint16) {
+		runDrainScript(t, seed, cyclic, min(int(edits), 400))
+	})
 }

@@ -220,7 +220,7 @@ func hasCycleFrom(_ *Engine, p *netlist.Pin) bool {
 			}
 			return
 		}
-		if isEndpointPin(q) {
+		if roleFlags(q)&flagEnd != 0 {
 			return
 		}
 		if z := q.Gate.Output(); z != nil {

@@ -135,8 +135,12 @@ func (s *drainSide) reviveBuffer(pick int) {
 
 // TestGateSlackMatchesFlush interleaves GateSlack probes with random
 // edits and full queries, on an acyclic design and on one with a
-// combinational cycle, where every probe falls back to Flush.
+// combinational cycle, where every probe falls back to Flush. Each
+// script's final Recomputes is pinned, so a probe that drains more or
+// fewer pins than the engine did when the pin was taken fails here, not
+// only in the flow goldens' totals.
 func TestGateSlackMatchesFlush(t *testing.T) {
+	wantRecomputes := map[bool]int{false: 51314, true: 52508}
 	for _, cyclic := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(4242))
 		ops := make([]byte, 3*900)
@@ -151,6 +155,9 @@ func TestGateSlackMatchesFlush(t *testing.T) {
 		st := runProbeScript(t, s, ops)
 		s.close()
 		t.Logf("cyclic=%v: %+v", cyclic, st)
+		if got := s.eng.Recomputes; got != wantRecomputes[cyclic] {
+			t.Fatalf("cyclic=%v: Recomputes %d, want %d", cyclic, got, wantRecomputes[cyclic])
+		}
 		if st.probes < 300 {
 			t.Fatalf("cyclic=%v: only %d probes", cyclic, st.probes)
 		}

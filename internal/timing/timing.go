@@ -72,7 +72,7 @@ type Engine struct {
 	// pendArr and pendReq list pin IDs queued for recompute; inPendArr
 	// and inPendReq flag the pins still pending. A GateSlack probe drains
 	// some pins early and clears their flags, leaving dead entries that
-	// the flushes skip and compactPending drops.
+	// fill skips and compactPending drops.
 	pendArr, pendReq []int
 	inPendArr        []bool
 	inPendReq        []bool
@@ -84,7 +84,8 @@ type Engine struct {
 	// pending pin in its cone and holds the value a Flush would give it.
 	// A probe floods the cones of the entries queued since the last query
 	// (pendArr[arrFlooded:], pendReq[reqFlooded:]); Flush drops every flag
-	// by bumping staleEpoch.
+	// by bumping staleEpoch. The drains read the flags to tell a probe's
+	// walked cone from the rest of the design.
 	arrStale, reqStale     []uint32
 	staleEpoch             uint32
 	arrFlooded, reqFlooded int
@@ -99,7 +100,7 @@ type Engine struct {
 	idSorted     []int   // level-sorted pin IDs (counting-sort output)
 	levelCount   []int32 // counting-sort cursor workspace (per level)
 	levelStart   []int32 // level → start offset in idSorted
-	buckets      [][]int // per-level worklists for the incremental flushes
+	buckets      [][]int // per-level worklists for drainArr and drainReq
 	relaxQueue   []int   // BFS workspace for incremental level repair
 	adj          []int   // neighbour IDs from appendPred/appendSucc; probe stack
 	walked       []int   // a probe's walked set
@@ -162,24 +163,44 @@ func (e *Engine) InvalidateAll() { e.allDirty = true }
 // dataNet reports whether net n participates in data timing.
 func dataNet(n *netlist.Net) bool { return n != nil && n.Kind != netlist.Clock }
 
-// isEndpointPin: register D/SI pins and output-pad I pins.
-func isEndpointPin(p *netlist.Pin) bool {
-	g := p.Gate
-	if p.Dir() != cell.Input {
-		return false
+// roleFlags derives pin p's flags from its port and gate: the direction,
+// and whether it is a clock pin (outside the data graph), a begin point
+// (register Q, input-pad O) or an end point (register D/SI, output-pad
+// I).
+func roleFlags(p *netlist.Pin) pinFlag {
+	fl := pinFlag(0)
+	out := p.Dir() == cell.Output
+	if out {
+		fl = flagOutput
 	}
-	if g.IsSequential() {
-		return !p.Port().Clock
+	switch g := p.Gate; {
+	case p.Port().Clock:
+		fl |= flagClockPin
+	case g.IsSequential() || g.IsPad():
+		if out {
+			fl |= flagBegin
+		} else {
+			fl |= flagEnd
+		}
 	}
-	return g.IsPad()
+	return fl
 }
 
-// isBeginPin: register Q pins and input-pad O pins.
-func isBeginPin(p *netlist.Pin) bool {
-	if p.Dir() != cell.Output {
-		return false
+// register records pin p of a gate whose output pin ID+1 is zid (0 for
+// none) and returns the pin's role flags.
+func (e *Engine) register(p *netlist.Pin, zid int32) pinFlag {
+	fl := roleFlags(p)
+	e.pinOf[p.ID], e.outPin[p.ID], e.flags[p.ID] = p, zid, fl
+	e.late[p.ID] = p.Port().Late * e.nl.Lib.Tech.Tau
+	return fl
+}
+
+// outRef returns g's output pin ID+1, or 0 when g has no output.
+func outRef(g *netlist.Gate) int32 {
+	if z := g.Output(); z != nil {
+		return int32(z.ID) + 1
 	}
-	return p.Gate.IsSequential() || p.Gate.IsPad()
+	return 0
 }
 
 // relevel rebuilds pin levels, flags, and begin/end lists with Kahn's
@@ -211,29 +232,17 @@ func (e *Engine) relevel() {
 	}
 	queue := e.queueScratch[:0]
 
-	tau := e.nl.Lib.Tech.Tau
 	e.nl.Gates(func(g *netlist.Gate) {
-		zid := int32(0)
-		if z := g.Output(); z != nil {
-			zid = int32(z.ID) + 1
-		}
+		zid := outRef(g)
 		for _, p := range g.Pins {
-			e.pinOf[p.ID] = p
-			e.outPin[p.ID] = zid
-			if p.Dir() == cell.Output {
-				e.flags[p.ID] |= flagOutput
-			}
-			e.late[p.ID] = p.Port().Late * tau
-			if p.Port().Clock {
-				e.flags[p.ID] |= flagClockPin
+			fl := e.register(p, zid)
+			if fl&flagClockPin != 0 {
 				continue
 			}
-			if isBeginPin(p) {
-				e.flags[p.ID] |= flagBegin
+			if fl&flagBegin != 0 {
 				e.begins = append(e.begins, p)
 			}
-			if isEndpointPin(p) {
-				e.flags[p.ID] |= flagEnd
+			if fl&flagEnd != 0 {
 				e.endpoints = append(e.endpoints, p)
 			}
 			e.adj = e.appendPred(e.adj[:0], p.ID)
@@ -566,8 +575,8 @@ func (e *Engine) touchNet(n *netlist.Net) {
 }
 
 // bucketPush files id under level l in the per-level worklists the
-// incremental flushes drain. Bucket backing arrays persist across flushes,
-// so steady-state pushes are a bounds check and an append.
+// drains sweep. Bucket backing arrays persist across drains, so
+// steady-state pushes are a bounds check and an append.
 func (e *Engine) bucketPush(l int32, id int) {
 	for int(l) >= len(e.buckets) {
 		e.buckets = append(e.buckets, nil)
@@ -578,7 +587,8 @@ func (e *Engine) bucketPush(l int32, id int) {
 // Flush brings all timing up to date. Every query but GateSlack calls it.
 func (e *Engine) Flush() {
 	e.ensure()
-	// Nothing stays pending, so nothing stays stale.
+	// Nothing stays pending, so nothing stays stale: with no pin flagged,
+	// the drains below sweep every pin they reach.
 	e.staleEpoch++
 	if e.staleEpoch == 0 {
 		clear(e.arrStale)
@@ -592,12 +602,12 @@ func (e *Engine) Flush() {
 		e.flushAll()
 		return
 	}
-	if len(e.pendArr) > 0 {
-		e.flushArr()
-	}
-	if len(e.pendReq) > 0 {
-		e.flushReq()
-	}
+	lo, hi := e.fill(e.pendArr, e.inPendArr)
+	e.pendArr = e.pendArr[:0]
+	e.drainArr(lo, hi)
+	lo, hi = e.fill(e.pendReq, e.inPendReq)
+	e.pendReq = e.pendReq[:0]
+	e.drainReq(lo, hi)
 }
 
 func (e *Engine) flushAll() {
@@ -618,17 +628,16 @@ func (e *Engine) flushAll() {
 			ids = append(ids, id)
 		}
 	}
-	// Batch-prepare the delay caches on both branches: prepared results
-	// are identical to lazy ones, and preparing the same net set keeps
-	// the analyzer pass counters (printed by tpsflow) worker-independent,
-	// not just the metrics.
+	// Batch-prepare the delay caches at every width: the worker goroutines
+	// below only read them, prepared results are identical to lazy ones,
+	// and preparing the same net set keeps the analyzer pass counters
+	// (printed by tpsflow) worker-independent, not just the metrics.
 	e.Calc.Prepare(e.Workers)
 
 	// Counting-sort the live pins into contiguous level blocks (ascending
 	// level, ascending ID within a level — ids is collected in ID order and
-	// the scatter is stable). Both passes and both execution modes walk
-	// these blocks, so the evaluation order is identical to the previous
-	// per-call sort/bucket construction without its allocations.
+	// the scatter is stable). Both passes walk these blocks without
+	// allocating.
 	var maxL int32
 	for _, id := range ids {
 		if e.level[id] > maxL {
@@ -663,94 +672,93 @@ func (e *Engine) flushAll() {
 		cur[l]++
 	}
 
-	if e.Workers > 1 {
-		// Parallel mode: each level fanned out over the worker pool.
-		// Correctness argument: levelization guarantees that every
-		// predecessor read by arrOf sits at a strictly lower level than the
-		// pin being evaluated (and every successor read by reqOf at a
-		// strictly higher one); pins trapped on combinational cycles read
-		// nothing. Each level is therefore a clean barrier, every pin is
-		// written exactly once at its own slot, and the values are
-		// bit-identical to the serial pass for any worker count. The delay
-		// caches are batch-prepared above so worker goroutines only ever
-		// read them.
-		for l := 0; l < numL; l++ {
-			lv := sorted[start[l]:start[l+1]]
-			par.For(e.Workers, len(lv), func(_, lo, hi int) {
-				for _, id := range lv[lo:hi] {
-					e.arr[id] = e.arrOf(e.pinOf[id])
-				}
-			})
-		}
-		for l := numL - 1; l >= 0; l-- {
-			lv := sorted[start[l]:start[l+1]]
-			par.For(e.Workers, len(lv), func(_, lo, hi int) {
-				for _, id := range lv[lo:hi] {
-					e.req[id] = e.reqOf(e.pinOf[id])
-				}
-			})
-		}
-		e.Recomputes += 2 * len(ids) // same count the serial pass accumulates
-		return
-	}
+	// Each level fans out over the worker pool; par.For runs a lone chunk
+	// inline, so at width 1 this is the serial pass. Levelization
+	// guarantees that every predecessor read by arrOf sits at a strictly
+	// lower level than the pin being evaluated (and every successor read by
+	// reqOf at a strictly higher one); pins trapped on combinational cycles
+	// read nothing. Each level is therefore a clean barrier, every pin is
+	// written exactly once at its own slot, and the values are
+	// bit-identical for any worker count.
 	for l := 0; l < numL; l++ {
-		for _, id := range sorted[start[l]:start[l+1]] {
-			e.arr[id] = e.evalArr(e.pinOf[id])
-		}
+		lv := sorted[start[l]:start[l+1]]
+		par.For(e.Workers, len(lv), func(_, lo, hi int) {
+			for _, id := range lv[lo:hi] {
+				e.arr[id] = e.arrOf(e.pinOf[id])
+			}
+		})
 	}
 	for l := numL - 1; l >= 0; l-- {
-		for _, id := range sorted[start[l]:start[l+1]] {
-			e.req[id] = e.evalReq(e.pinOf[id])
-		}
+		lv := sorted[start[l]:start[l+1]]
+		par.For(e.Workers, len(lv), func(_, lo, hi int) {
+			for _, id := range lv[lo:hi] {
+				e.req[id] = e.reqOf(e.pinOf[id])
+			}
+		})
 	}
+	e.Recomputes += 2 * len(ids)
 }
 
-// flushArr drains the pending arrival set level by level through a
-// monotone bucket queue: one ascending sweep over the per-level worklists,
-// at O(1) per push instead of a priority queue's O(log n) level-array
-// comparisons, which dominated the incremental-flush profile at bulk
-// design sizes. Under a valid stratification a pin's arrival reads only
-// lower levels and every propagation pushes strictly upward, so the pins
-// of one bucket are independent: any drain order within a level yields
-// the same values, the same pushes and the same Recomputes (the argument
-// flushAll's parallel levels rest on), and buckets drain unsorted.
-// Cyclic graphs are the one exception (frozen pins keep whatever level the
-// aborted Kahn pass left, so a push can land at or below the sweep
-// cursor); the sweep then rewinds to the pushed level — already-drained
-// entries are skipped by the pend flags — and each bucket is drained in
-// ID order, preserving correctness at priority-queue-grade cost.
-func (e *Engine) flushArr() {
-	lo := int32(math.MaxInt32)
-	for _, id := range e.pendArr {
-		if id < len(e.pinOf) && e.pinOf[id] != nil {
-			if !e.inPendArr[id] {
-				continue // drained by a probe
-			}
-			e.bucketPush(e.level[id], id)
-			if e.level[id] < lo {
-				lo = e.level[id]
-			}
-		} else {
-			// The pin was tombstoned after being marked: clear the stale
-			// flag instead of leaking a permanent true that would shadow
-			// the slot in any future scan.
-			e.inPendArr[id] = false
+// fill files the pending pins among ids into the level buckets and
+// returns the lowest and highest level it filed (lo > hi when none).
+// Flush fills from the pending lists, a GateSlack probe from its walked
+// cone. Entries a probe has drained are skipped. An entry whose pin was
+// tombstoned after it was marked loses its pending flag instead of
+// leaking a permanent true that would shadow the slot in any future scan.
+func (e *Engine) fill(ids []int, pending []bool) (lo, hi int32) {
+	lo, hi = math.MaxInt32, -1
+	for _, id := range ids {
+		if id >= len(e.pinOf) || e.pinOf[id] == nil {
+			pending[id] = false
+		} else if pending[id] {
+			l := e.level[id]
+			e.bucketPush(l, id)
+			lo, hi = min(lo, l), max(hi, l)
 		}
 	}
-	e.pendArr = e.pendArr[:0]
-	cur := int32(0)
-	rewind := int32(-1)
-	push := func(qid int) {
-		if !e.inPendArr[qid] {
-			e.inPendArr[qid] = true
-			ql := e.level[qid]
-			e.bucketPush(ql, qid)
-			if ql <= cur && (rewind < 0 || ql < rewind) {
-				rewind = ql
-			}
+	return lo, hi
+}
+
+// drainArr recomputes the arrivals filed between levels lo and hi, and
+// every arrival they change, in one ascending sweep over the level
+// buckets: a monotone bucket queue, at O(1) per push instead of a
+// priority queue's O(log n) level-array comparisons, which dominated the
+// incremental-flush profile at bulk design sizes. Under a valid
+// stratification a pin's arrival reads only lower levels and every
+// propagation pushes strictly upward, so the pins of one bucket are
+// independent: any drain order within a level yields the same values, the
+// same pushes and the same Recomputes (the argument flushAll's parallel
+// levels rest on), and buckets drain unsorted. Cyclic graphs are the one
+// exception (frozen pins keep whatever level the aborted Kahn pass left,
+// so a push can land at or below the sweep cursor); the sweep then
+// rewinds to the pushed level — already-drained entries are skipped by
+// the pend flags — and each bucket is drained in ID order, preserving
+// correctness at priority-queue-grade cost.
+//
+// A changed arrival pushes its successors. A successor whose stale flag
+// carries the current epoch lies outside the walked cone of the probe
+// that filled the buckets, so it joins the pending list for a later
+// query. Any other successor drains in this sweep.
+func (e *Engine) drainArr(lo, hi int32) {
+	ep := e.staleEpoch
+	cur, rewind := int32(0), int32(-1)
+	push := func(q int) {
+		if e.inPendArr[q] {
+			return
+		}
+		if e.arrStale[q] == ep {
+			e.markArr(q)
+			return
+		}
+		e.inPendArr[q] = true
+		l := e.level[q]
+		e.bucketPush(l, q)
+		hi = max(hi, l)
+		if l <= cur && (rewind < 0 || l < rewind) {
+			rewind = l
 		}
 	}
-	for l := lo; l < int32(len(e.buckets)); l++ {
+	for l := lo; l <= hi; l++ {
 		cur = l
 		b := e.buckets[l]
 		if len(b) == 0 {
@@ -805,38 +813,29 @@ func (e *Engine) flushArr() {
 	}
 }
 
-func (e *Engine) flushReq() {
-	hi := int32(-1)
-	for _, id := range e.pendReq {
-		if id < len(e.pinOf) && e.pinOf[id] != nil {
-			if !e.inPendReq[id] {
-				continue // drained by a probe
-			}
-			e.bucketPush(e.level[id], id)
-			if e.level[id] > hi {
-				hi = e.level[id]
-			}
-		} else {
-			e.inPendReq[id] = false // tombstoned since marked (see flushArr)
+// drainReq mirrors drainArr for required times: the sweep descends,
+// reqSettled decides, and a changed required time pushes its
+// predecessors, so the rewind guard fires on upward pushes instead.
+func (e *Engine) drainReq(lo, hi int32) {
+	ep := e.staleEpoch
+	cur, rewind := int32(0), int32(-1)
+	push := func(q int) {
+		if e.inPendReq[q] {
+			return
+		}
+		if e.reqStale[q] == ep {
+			e.markReq(q)
+			return
+		}
+		e.inPendReq[q] = true
+		l := e.level[q]
+		e.bucketPush(l, q)
+		lo = min(lo, l)
+		if l >= cur && (rewind < 0 || l > rewind) {
+			rewind = l
 		}
 	}
-	e.pendReq = e.pendReq[:0]
-	// Mirror of flushArr with the sweep descending: required times
-	// propagate to strictly lower levels, so the bucket queue is monotone
-	// downward and the rewind guard fires on upward pushes instead.
-	cur := int32(0)
-	rewind := int32(-1)
-	push := func(qid int) {
-		if !e.inPendReq[qid] {
-			e.inPendReq[qid] = true
-			ql := e.level[qid]
-			e.bucketPush(ql, qid)
-			if ql >= cur && (rewind < 0 || ql > rewind) {
-				rewind = ql
-			}
-		}
-	}
-	for l := hi; l >= 0; l-- {
+	for l := hi; l >= lo; l-- {
 		cur = l
 		b := e.buckets[l]
 		if len(b) == 0 {
@@ -856,7 +855,7 @@ func (e *Engine) flushReq() {
 				continue
 			}
 			e.req[id] = v
-			// appendPred, inlined (see flushArr).
+			// appendPred, inlined (see drainArr).
 			fl := e.flags[id]
 			if fl&flagClockPin != 0 {
 				continue
@@ -903,18 +902,15 @@ func (e *Engine) reqSettled(id int, v float64) bool {
 // settle gives gate g's pins the arrival and required times a Flush would
 // give them now (see GateSlack). It flags the cones of the entries queued
 // since the last query, then drains the pending pins of g's flagged
-// fan-in and fan-out and clears those pins' flags.
+// fan-in and fan-out with Flush's drains and clears those pins' flags.
 func (e *Engine) settle(g *netlist.Gate) {
 	if len(e.pendArr) == 0 && len(e.pendReq) == 0 {
 		return // nothing pending, nothing stale
 	}
-	np := len(e.pinOf)
-	e.arrStale = grow(e.arrStale, np)
-	e.reqStale = grow(e.reqStale, np)
 	for _, id := range e.removed {
-		// Drop a tombstoned pin's entries as flushArr and flushReq do. It
-		// has no timing edges, so unflagging it keeps both flagged sets
-		// closed, and no walk can reach it.
+		// Drop a tombstoned pin's entries as fill does. It has no timing
+		// edges, so unflagging it keeps both flagged sets closed, and no
+		// walk can reach it.
 		if e.pinOf[id] == nil {
 			e.inPendArr[id], e.inPendReq[id] = false, false
 			e.arrStale[id], e.reqStale[id] = 0, 0
@@ -925,8 +921,8 @@ func (e *Engine) settle(g *netlist.Gate) {
 	e.flood(e.pendReq[e.reqFlooded:], e.inPendReq, e.reqStale, e.appendPred)
 	e.pendArr, e.arrLive = compactPending(e.pendArr, e.inPendArr, e.arrLive)
 	e.pendReq, e.reqLive = compactPending(e.pendReq, e.inPendReq, e.reqLive)
-	e.settleArr(e.walk(g, e.arrStale, e.appendPred))
-	e.settleReq(e.walk(g, e.reqStale, e.appendSucc))
+	e.drainArr(e.fill(e.walk(g, e.arrStale, e.appendPred), e.inPendArr))
+	e.drainReq(e.fill(e.walk(g, e.reqStale, e.appendSucc), e.inPendReq))
 	// The entries the drains queued lie in flagged cones already.
 	e.arrFlooded, e.reqFlooded = len(e.pendArr), len(e.pendReq)
 }
@@ -1006,88 +1002,6 @@ func (e *Engine) walk(g *netlist.Gate, stale []uint32, next func([]int, int) []i
 	e.adj = stack
 	e.walked = w
 	return w
-}
-
-// settleArr drains the pending arrivals of the walked set w in ascending
-// level order under flushArr's eps rule. A changed arrival queues its
-// successors: those in w drain now, the rest (still flagged) stay
-// pending for the next query.
-func (e *Engine) settleArr(w []int) {
-	lo, hi := int32(math.MaxInt32), int32(-1)
-	for _, id := range w {
-		if e.inPendArr[id] {
-			l := e.level[id]
-			e.bucketPush(l, id)
-			lo, hi = min(lo, l), max(hi, l)
-		}
-	}
-	ep := e.staleEpoch
-	for l := lo; l <= hi; l++ {
-		b := e.buckets[l]
-		for _, id := range b {
-			if !e.inPendArr[id] {
-				continue
-			}
-			e.inPendArr[id] = false
-			v := e.evalArr(e.pinOf[id])
-			if math.Abs(v-e.arr[id]) <= eps {
-				continue
-			}
-			e.arr[id] = v
-			e.adj = e.appendSucc(e.adj[:0], id)
-			for _, q := range e.adj {
-				switch {
-				case e.arrStale[q] == ep:
-					e.markArr(q)
-				case !e.inPendArr[q]:
-					e.inPendArr[q] = true
-					e.bucketPush(e.level[q], q)
-					hi = max(hi, e.level[q])
-				}
-			}
-		}
-		e.buckets[l] = b[:0]
-	}
-}
-
-// settleReq mirrors settleArr for required times: descending levels,
-// reqSettled, pushes to predecessors.
-func (e *Engine) settleReq(w []int) {
-	lo, hi := int32(math.MaxInt32), int32(-1)
-	for _, id := range w {
-		if e.inPendReq[id] {
-			l := e.level[id]
-			e.bucketPush(l, id)
-			lo, hi = min(lo, l), max(hi, l)
-		}
-	}
-	ep := e.staleEpoch
-	for l := hi; l >= lo; l-- {
-		b := e.buckets[l]
-		for _, id := range b {
-			if !e.inPendReq[id] {
-				continue
-			}
-			e.inPendReq[id] = false
-			v := e.evalReq(e.pinOf[id])
-			if e.reqSettled(id, v) {
-				continue
-			}
-			e.req[id] = v
-			e.adj = e.appendPred(e.adj[:0], id)
-			for _, q := range e.adj {
-				switch {
-				case e.reqStale[q] == ep:
-					e.markReq(q)
-				case !e.inPendReq[q]:
-					e.inPendReq[q] = true
-					e.bucketPush(e.level[q], q)
-					lo = min(lo, e.level[q])
-				}
-			}
-		}
-		e.buckets[l] = b[:0]
-	}
 }
 
 // ---- queries ----
@@ -1248,26 +1162,15 @@ func (e *Engine) GateResized(g *netlist.Gate) {
 		// and the begin/end lists wholesale. SetSize and friends never
 		// drift, so the common case is a cheap confirming scan. The cached
 		// Late product is refreshed unconditionally — the replacement cell
-		// may change it without touching any role.
-		tau := e.nl.Lib.Tech.Tau
+		// may change it without touching any role. ReplaceCell keeps port
+		// directions, so only the derived roles can drift.
 		for _, p := range g.Pins {
 			if p.ID >= len(e.flags) {
 				e.levelsValid = false
 				break
 			}
-			e.late[p.ID] = p.Port().Late * tau
-			fl := pinFlag(0)
-			if p.Port().Clock {
-				fl = flagClockPin
-			} else {
-				if isBeginPin(p) {
-					fl |= flagBegin
-				}
-				if isEndpointPin(p) {
-					fl |= flagEnd
-				}
-			}
-			if fl != e.flags[p.ID]&(flagClockPin|flagBegin|flagEnd) {
+			e.late[p.ID] = p.Port().Late * e.nl.Lib.Tech.Tau
+			if roleFlags(p) != e.flags[p.ID]&^flagOnCycle {
 				e.levelsValid = false
 				break
 			}
@@ -1324,32 +1227,15 @@ func (e *Engine) GateAdded(g *netlist.Gate) {
 	}
 	oldNP := len(e.pinOf)
 	e.growPinArrays(e.nl.NumPins())
-	tau := e.nl.Lib.Tech.Tau
-	zid := int32(0)
-	if z := g.Output(); z != nil {
-		zid = int32(z.ID) + 1
-	}
+	zid := outRef(g)
 	for _, p := range g.Pins {
-		e.pinOf[p.ID] = p
-		e.outPin[p.ID] = zid
-		fl := pinFlag(0)
-		if p.Dir() == cell.Output {
-			fl |= flagOutput
+		fl := e.register(p, zid)
+		if fl&flagBegin != 0 {
+			e.begins = insertByID(e.begins, p)
 		}
-		e.late[p.ID] = p.Port().Late * tau
-		if p.Port().Clock {
-			fl |= flagClockPin
-		} else {
-			if isBeginPin(p) {
-				fl |= flagBegin
-				e.begins = insertByID(e.begins, p)
-			}
-			if isEndpointPin(p) {
-				fl |= flagEnd
-				e.endpoints = insertByID(e.endpoints, p)
-			}
+		if fl&flagEnd != 0 {
+			e.endpoints = insertByID(e.endpoints, p)
 		}
-		e.flags[p.ID] = fl
 	}
 	for _, p := range g.Pins {
 		if p.Dir() != cell.Output || e.flags[p.ID]&(flagClockPin|flagBegin) != 0 {
@@ -1414,6 +1300,8 @@ func (e *Engine) growPinArrays(np int) {
 	e.flags = grow(e.flags, np)
 	e.inPendArr = grow(e.inPendArr, np)
 	e.inPendReq = grow(e.inPendReq, np)
+	e.arrStale = grow(e.arrStale, np)
+	e.reqStale = grow(e.reqStale, np)
 	e.pinOf = grow(e.pinOf, np)
 }
 
