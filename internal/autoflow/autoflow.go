@@ -178,7 +178,6 @@ type variant struct {
 	metrics *scenario.Metrics
 	stats   scenario.AnalyzerStats
 	design  *netio.State
-	status  string
 }
 
 // Search runs the evolutionary loop from the base snapshot. base is
@@ -518,7 +517,6 @@ func (s *search) absorb(order []*variant, res *portfolio.Result) {
 		v := order[i]
 		vd := &res.Verdicts[i]
 		v.raced = true
-		v.status = vd.Status
 		if vd.Status == portfolio.StatusFinished {
 			v.ok = true
 			v.obj = vd.Objective

@@ -39,10 +39,9 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) scenario.Metrics {
 	weighter.UseLogicalEffort = opt.UseLogicalEffort
 	weighter.Margin = 0.06 * c.Period
 	rel := relocate.New(c.NL, c.Eng, c.Im)
-	rel.SlackMargin = 0
 	mig := migrate.New(c.NL, c.Eng, c.Im)
 	mig.Margin = 0.08 * c.Period
-	so := synth.New(c.NL, c.Eng, c.Im, rel)
+	so := synth.New(c.NL, c.Eng, c.Im)
 	so.Margin = 0.08 * c.Period
 
 	// Initialization (Fig. 5): gain-based timing, uniform gains, clock
@@ -208,8 +207,7 @@ func runSPRLegacy(c *scenario.Context, opt SPROptions) scenario.Metrics {
 	}
 	budget := opt.TransformBudget
 
-	rel := relocate.New(c.NL, c.Eng, c.Im)
-	so := synth.New(c.NL, c.Eng, c.Im, rel)
+	so := synth.New(c.NL, c.Eng, c.Im)
 	weighter := netweight.New(c.NL, c.Eng, netweight.Absolute)
 	weighter.UseLogicalEffort = false
 

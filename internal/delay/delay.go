@@ -75,7 +75,6 @@ func (w *WireLoadModel) Cap(fanout int) float64 {
 type netTiming struct {
 	load      float64   // total cap seen by the driver, fF
 	sinkDelay []float64 // wire delay to each pin, aligned with net.Pins()
-	maxPath   float64   // longest driver→sink wire path, µm
 }
 
 // Calculator computes gate arc delays and net wire delays under the
@@ -326,7 +325,6 @@ func (c *Calculator) solveInto(n *netlist.Net, s *solveScratch) *netTiming {
 		nt.sinkDelay[i] = 0
 	}
 	nt.load = 0
-	nt.maxPath = 0
 	c.valid[n.ID] = true
 
 	var driverIdx int
@@ -472,9 +470,6 @@ func (c *Calculator) solveInto(n *netlist.Net, s *solveScratch) *netTiming {
 			nt.sinkDelay[i] = d
 		} else {
 			nt.sinkDelay[i] = m1[i]
-		}
-		if pathLen[i] > nt.maxPath {
-			nt.maxPath = pathLen[i]
 		}
 	}
 	return nt

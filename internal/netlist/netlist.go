@@ -252,8 +252,10 @@ type Observer interface {
 	// GateResized fires after a gate's size index, gain, or area scale
 	// changed (electrical and footprint consequences).
 	GateResized(g *Gate)
-	// NetChanged fires after a net's pin membership changed, after its
-	// weight changed, and for each net of a newly added or removed gate.
+	// NetChanged fires after a net's pin membership changed, and for each
+	// net of a newly added or removed gate. A weight change is not an
+	// event: weights steer the placer, which reads them directly, and no
+	// analyzer reads them.
 	NetChanged(n *Net)
 	// GateAdded fires after a gate is created.
 	GateAdded(g *Gate)
@@ -683,14 +685,9 @@ func (nl *Netlist) ReplaceCell(g *Gate, c *cell.Cell, si int) {
 	nl.notifyResize(g)
 }
 
-// SetNetWeight updates a net's placement weight.
-func (nl *Netlist) SetNetWeight(n *Net, w float64) {
-	if n.Weight == w {
-		return
-	}
-	n.Weight = w
-	nl.notifyNet(n)
-}
+// SetNetWeight updates a net's placement weight. Observers are not
+// notified (see Observer.NetChanged).
+func (nl *Netlist) SetNetWeight(n *Net, w float64) { n.Weight = w }
 
 // SwapPins exchanges the nets of two input pins on the same gate (pin
 // swapping transform). Both pins must share a nonzero SwapClass.

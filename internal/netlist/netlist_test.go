@@ -344,7 +344,7 @@ func TestUnobserveDuringNotify(t *testing.T) {
 		}
 	}
 
-	nl.SetNetWeight(n, 2) // second notification: a and c are gone
+	nl.Disconnect(g.Output()) // second notification: a and c are gone
 	if a.events != 1 || c.events != 1 {
 		t.Errorf("removed observers kept receiving: a=%d c=%d", a.events, c.events)
 	}
@@ -370,7 +370,7 @@ func TestUnobserveLastDuringNotify(t *testing.T) {
 	if first.events != 1 || last.events != 1 {
 		t.Errorf("delivery during removal: first=%d last=%d, want 1/1", first.events, last.events)
 	}
-	nl.SetNetWeight(n, 3)
+	nl.Disconnect(g.Output())
 	if last.events != 1 {
 		t.Errorf("removed tail observer still notified: %d events", last.events)
 	}
@@ -394,7 +394,7 @@ func TestObserveDuringNotify(t *testing.T) {
 	if late.netChanged != 0 {
 		t.Errorf("late observer saw the in-flight event %d times", late.netChanged)
 	}
-	nl.SetNetWeight(n, 2)
+	nl.Disconnect(g.Output())
 	if late.netChanged != 1 {
 		t.Errorf("late observer events = %d, want 1", late.netChanged)
 	}

@@ -2,9 +2,8 @@
 // min-cost network optimization over the bin grid that frees space in a
 // congested bin by rippling non-critical cells outward along shortest
 // paths toward bins with spare capacity, without hurting worst-case
-// timing. It is callable stand-alone (fix every overfull bin) or from
-// inside another transform (make room for a clone or buffer in a specific
-// bin).
+// timing. Two transforms call it: relieve fixes every overfull bin, and
+// decongest pushes cells out of congestion hot spots.
 package relocate
 
 import (
@@ -16,13 +15,11 @@ import (
 )
 
 // Relocator couples the bin image with the timing analyzer so only
-// non-critical cells move.
+// non-critical cells — cells with positive slack — move.
 type Relocator struct {
 	NL  *netlist.Netlist
 	Eng *timing.Engine
 	Im  *image.Image
-	// SlackMargin: only cells with slack above this are relocatable.
-	SlackMargin float64
 	// Moves counts cells relocated since construction.
 	Moves int
 
@@ -50,10 +47,10 @@ type Relocator struct {
 	path  []int
 }
 
-// New returns a relocator with a safe default margin, subscribed to
-// netlist changes. Call Close to detach it.
+// New returns a relocator subscribed to netlist changes. Call Close to
+// detach it.
 func New(nl *netlist.Netlist, eng *timing.Engine, im *image.Image) *Relocator {
-	r := &Relocator{NL: nl, Eng: eng, Im: im, SlackMargin: 0}
+	r := &Relocator{NL: nl, Eng: eng, Im: im}
 	nl.Observe(r)
 	return r
 }
@@ -343,7 +340,7 @@ func (r *Relocator) moveOneCell(fi, fj, ti, tj int) bool {
 		return cands[i].ID < cands[j].ID
 	})
 	for k, g := range cands {
-		if r.Eng != nil && r.Eng.GateSlack(g) <= r.SlackMargin {
+		if r.Eng != nil && r.Eng.GateSlack(g) <= 0 {
 			continue
 		}
 		cx, cy := r.Im.Center(ti, tj)

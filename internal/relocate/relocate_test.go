@@ -112,13 +112,12 @@ func TestCriticalCellsStay(t *testing.T) {
 	nl.Connect(po.Pin("I"), prev)
 
 	r2 := New(nl, eng, im)
-	r2.SlackMargin = 0
 	before := make(map[int][2]float64)
 	for _, g := range gates[:4] {
 		before[g.ID] = [2]float64{g.X, g.Y}
 	}
 	r2.RelieveAll(0.0)
-	// The four chained cells have (deeply negative) slack ≤ margin, so
+	// The four chained cells have (deeply negative) slack ≤ 0, so
 	// they must not move; the isolated filler cells (infinite slack) may.
 	for _, g := range gates[:4] {
 		p := before[g.ID]

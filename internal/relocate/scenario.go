@@ -4,14 +4,11 @@ import (
 	"tps/internal/scenario"
 )
 
-// ForScenario returns the per-run relocator actor. Exported so the synth
-// shim (whose optimizer embeds the same relocator) constructs an
-// identically-configured instance from the same cache slot.
-func ForScenario(c *scenario.Context) *Relocator {
+// forScenario returns the per-run relocator actor that relieve and
+// decongest share.
+func forScenario(c *scenario.Context) *Relocator {
 	return scenario.Actor(c, "relocate", func() *Relocator {
-		r := New(c.NL, c.Eng, c.Im)
-		r.SlackMargin = c.ParamFloat("relocate_slackmargin", 0)
-		return r
+		return New(c.NL, c.Eng, c.Im)
 	})
 }
 
@@ -24,7 +21,7 @@ func init() {
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
 			stop := c.Track("synthesis")
-			n := ForScenario(c).RelieveAll(a.Float("frac", 0.25))
+			n := forScenario(c).RelieveAll(a.Float("frac", 0.25))
 			stop()
 			return scenario.Report{Changed: n}, nil
 		},
@@ -36,7 +33,7 @@ func init() {
 			{Key: "moves", Kind: scenario.ParamInt, Lo: 8, Hi: 128},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			n := RelieveCongestion(c.Cong, c.Im, ForScenario(c), a.Int("moves", 32), c.Interrupted)
+			n := RelieveCongestion(c.Cong, c.Im, forScenario(c), a.Int("moves", 32), c.Interrupted)
 			c.Logf("status %3d: congestion relocation moved %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},

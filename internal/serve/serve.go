@@ -65,7 +65,6 @@ type Config struct {
 
 // Server is the placement service. It implements http.Handler.
 type Server struct {
-	cfg Config
 	lib *cell.Library
 	mux *http.ServeMux
 
@@ -100,7 +99,7 @@ func New(cfg Config) *Server {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg: cfg, lib: cell.Default(),
+		lib:     cell.Default(),
 		baseCtx: ctx, cancelAll: cancel,
 		jobs:  map[string]*Job{},
 		queue: make(chan *Job, cfg.QueueDepth),

@@ -11,14 +11,13 @@ import (
 // re-calculated when gate positions change as well as when new cells are
 // created or old ones deleted").
 //
-// Beyond the per-net tree memo, the cache maintains per-net length and
-// weighted-length leaves under a fixed-topology pairwise summation tree, so
-// the aggregate queries (Total, WeightedTotal) cost O(dirty·log n) after
-// the first call instead of re-summing every net. The summation topology is
-// a function of the leaf capacity alone, which makes the incremental totals
-// bit-identical to a from-scratch rebuild: recomputing only the tree nodes
-// on dirty leaf paths reproduces exactly the additions a full bottom-up
-// rebuild would perform.
+// Beyond the per-net tree memo, the cache maintains per-net length leaves
+// under a fixed-topology pairwise summation tree, so the aggregate query
+// (Total) costs O(dirty·log n) after the first call instead of re-summing
+// every net. The summation topology is a function of the leaf capacity
+// alone, which makes the incremental total bit-identical to a from-scratch
+// rebuild: recomputing only the tree nodes on dirty leaf paths reproduces
+// exactly the additions a full bottom-up rebuild would perform.
 //
 // The cache itself is not safe for concurrent use; parallelism lives in
 // PrepareAll/PrepareNets, which batch-build invalid trees with a bounded
@@ -48,13 +47,12 @@ type Cache struct {
 	// staleScratch backs the stale-net collection in the Prepare paths.
 	staleScratch []*netlist.Net
 
-	// Summation-tree state. leafCap is a power of two ≥ NetCap; lenSum and
-	// wSum hold 2·leafCap nodes each in implicit heap layout (root at 1,
-	// leaf for net id at leafCap+id). Padding leaves are zero, which is
-	// exact under float64 addition, so capacity growth cannot perturb sums.
+	// Summation-tree state. leafCap is a power of two ≥ NetCap; lenSum
+	// holds 2·leafCap nodes in implicit heap layout (root at 1, leaf for
+	// net id at leafCap+id). Padding leaves are zero, which is exact under
+	// float64 addition, so capacity growth cannot perturb sums.
 	leafCap  int
 	lenSum   []float64
-	wSum     []float64
 	dirty    []int  // net IDs whose leaves need refreshing (deduplicated)
 	isDirty  []bool // by net ID
 	allDirty bool   // InvalidateAll: rebuild everything on next flush
@@ -156,7 +154,7 @@ func (c *Cache) markDirty(id int) {
 }
 
 // DirtyNets returns the number of nets whose aggregate contribution is
-// stale: the cost of the next Total/WeightedTotal call in nets.
+// stale: the cost of the next Total call in nets.
 func (c *Cache) DirtyNets() int {
 	if c.allDirty {
 		return c.nl.NumNets()
@@ -268,21 +266,11 @@ func (c *Cache) Tree(n *netlist.Net) *Tree {
 // Length returns the Steiner wire length of net n in µm.
 func (c *Cache) Length(n *netlist.Net) float64 { return c.Tree(n).Length }
 
-// WeightedTotal returns Σ weight(net)·steinerLength(net) over live nets.
-// Stale trees are batch-built in parallel (Workers); the reduction is the
-// fixed-topology summation tree, so the result is bit-identical for any
-// worker count and for any interleaving of edits and queries.
-func (c *Cache) WeightedTotal() float64 {
-	c.flushTotals()
-	if c.leafCap == 0 {
-		return 0
-	}
-	return c.wSum[1]
-}
-
-// Total returns the unweighted total Steiner wire length. Like
-// WeightedTotal, it reads the root of the summation tree after an O(dirty)
-// refresh.
+// Total returns the total Steiner wire length of the live nets. Stale
+// trees are batch-built in parallel (Workers); the reduction is the
+// fixed-topology summation tree, read at its root after an O(dirty)
+// refresh, so the result is bit-identical for any worker count and for
+// any interleaving of edits and queries.
 func (c *Cache) Total() float64 {
 	c.flushTotals()
 	if c.leafCap == 0 {
@@ -291,7 +279,7 @@ func (c *Cache) Total() float64 {
 	return c.lenSum[1]
 }
 
-// flushTotals brings the summation trees up to date: builds missing
+// flushTotals brings the summation tree up to date: builds missing
 // Steiner trees for dirty nets (parallel), refreshes their leaves, and
 // recomputes exactly the ancestor nodes on dirty paths. When the leaf
 // capacity must grow or everything is dirty it falls back to a full
@@ -320,14 +308,12 @@ func (c *Cache) flushTotals() {
 	c.frontier = c.frontier[:0]
 	for _, id := range c.dirty {
 		c.isDirty[id] = false
-		var L, W float64
-		if n := c.nl.NetByID(id); n != nil {
+		var L float64
+		if c.nl.NetByID(id) != nil {
 			L = c.trees[id].Length
-			W = n.Weight * L
 		}
 		leaf := c.leafCap + id
 		c.lenSum[leaf] = L
-		c.wSum[leaf] = W
 		p := leaf >> 1
 		if !c.nodeMark[p] {
 			c.nodeMark[p] = true
@@ -345,7 +331,6 @@ func (c *Cache) flushTotals() {
 		for _, v := range c.frontier {
 			c.nodeMark[v] = false
 			c.lenSum[v] = c.lenSum[2*v] + c.lenSum[2*v+1]
-			c.wSum[v] = c.wSum[2*v] + c.wSum[2*v+1]
 			if v > 1 {
 				p := v >> 1
 				if !c.nodeMark[p] {
@@ -358,29 +343,22 @@ func (c *Cache) flushTotals() {
 	}
 }
 
-// rebuildTotals reconstructs the summation trees from scratch at the given
+// rebuildTotals reconstructs the summation tree from scratch at the given
 // leaf capacity.
 func (c *Cache) rebuildTotals(leafCap int) {
 	c.PrepareAll(c.Workers)
 	c.leafCap = leafCap
 	if len(c.lenSum) != 2*leafCap {
 		c.lenSum = make([]float64, 2*leafCap)
-		c.wSum = make([]float64, 2*leafCap)
 		c.nodeMark = make([]bool, leafCap)
 	} else {
-		for i := range c.lenSum {
-			c.lenSum[i] = 0
-			c.wSum[i] = 0
-		}
+		clear(c.lenSum)
 	}
 	c.nl.Nets(func(n *netlist.Net) {
-		L := c.trees[n.ID].Length
-		c.lenSum[leafCap+n.ID] = L
-		c.wSum[leafCap+n.ID] = n.Weight * L
+		c.lenSum[leafCap+n.ID] = c.trees[n.ID].Length
 	})
 	for i := leafCap - 1; i >= 1; i-- {
 		c.lenSum[i] = c.lenSum[2*i] + c.lenSum[2*i+1]
-		c.wSum[i] = c.wSum[2*i] + c.wSum[2*i+1]
 	}
 	for _, id := range c.dirty {
 		c.isDirty[id] = false
@@ -401,7 +379,7 @@ func nextPow2(n int) int {
 
 // InvalidateAll drops every cached tree; the next aggregate query rebuilds
 // them (batched in parallel when Workers > 1) along with the summation
-// trees.
+// tree.
 func (c *Cache) InvalidateAll() {
 	for i := range c.tvalid {
 		c.tvalid[i] = false

@@ -93,19 +93,6 @@ func TestCacheInvalidatesOnConnectivity(t *testing.T) {
 	}
 }
 
-func TestWeightedTotal(t *testing.T) {
-	nl, n, _, _ := buildNet(t)
-	c := NewCache(nl)
-	base := c.WeightedTotal()
-	nl.SetNetWeight(n, 3)
-	if got := c.WeightedTotal(); got != 3*base {
-		t.Errorf("weighted total = %g, want %g", got, 3*base)
-	}
-	if c.Total() != base {
-		t.Errorf("unweighted total changed: %g", c.Total())
-	}
-}
-
 func TestCacheClose(t *testing.T) {
 	nl, n, _, g2 := buildNet(t)
 	c := NewCache(nl)

@@ -24,11 +24,11 @@ func totalsDesign(t *testing.T, seed int64) *netlist.Netlist {
 	return d.NL
 }
 
-// TestTotalsIncrementalBitIdentical verifies the summation-tree totals: a
-// primed cache updated through single-net dirtying must report Total and
-// WeightedTotal exactly equal (==, not approximately) to a from-scratch
-// cache, because the fixed tree topology performs the identical sequence
-// of float64 additions either way.
+// TestTotalsIncrementalBitIdentical verifies the summation-tree total: a
+// primed cache updated through single-net dirtying must report Total
+// exactly equal (==, not approximately) to a from-scratch cache, because
+// the fixed tree topology performs the identical sequence of float64
+// additions either way.
 func TestTotalsIncrementalBitIdentical(t *testing.T) {
 	nl := totalsDesign(t, 9)
 	c := NewCache(nl)
@@ -45,15 +45,12 @@ func TestTotalsIncrementalBitIdentical(t *testing.T) {
 	for step := 0; step < 50; step++ {
 		g := gates[rng.Intn(len(gates))]
 		nl.MoveGate(g, rng.Float64()*1000, rng.Float64()*1000)
-		got, gotW := c.Total(), c.WeightedTotal()
+		got := c.Total()
 		ref := NewCache(nl)
-		want, wantW := ref.Total(), ref.WeightedTotal()
+		want := ref.Total()
 		ref.Close()
 		if got != want {
 			t.Fatalf("step %d: incremental Total %v != from-scratch %v", step, got, want)
-		}
-		if gotW != wantW {
-			t.Fatalf("step %d: incremental WeightedTotal %v != from-scratch %v", step, gotW, wantW)
 		}
 	}
 }
@@ -132,11 +129,11 @@ func TestTotalsSurviveNetChurn(t *testing.T) {
 		removed++
 	})
 
-	got, gotW := c.Total(), c.WeightedTotal()
+	got := c.Total()
 	ref := NewCache(nl)
-	want, wantW := ref.Total(), ref.WeightedTotal()
+	want := ref.Total()
 	ref.Close()
-	if got != want || gotW != wantW {
-		t.Fatalf("after churn: incremental %v/%v != from-scratch %v/%v", got, gotW, want, wantW)
+	if got != want {
+		t.Fatalf("after churn: incremental %v != from-scratch %v", got, want)
 	}
 }

@@ -1,16 +1,13 @@
 package synth
 
-import (
-	"tps/internal/relocate"
-	"tps/internal/scenario"
-)
+import "tps/internal/scenario"
 
 // forScenario returns the per-run optimizer actor. Margin defaults to the
 // package's own; scenarios override through synth_margin (absolute ps) or
 // synth_marginfrac (fraction of the clock period).
 func forScenario(c *scenario.Context) *Optimizer {
 	return scenario.Actor(c, "synth", func() *Optimizer {
-		so := New(c.NL, c.Eng, c.Im, relocate.ForScenario(c))
+		so := New(c.NL, c.Eng, c.Im)
 		so.Stop = c.Interrupted
 		if c.HasParam("synth_marginfrac") {
 			so.Margin = c.ParamFloat("synth_marginfrac", 0) * c.Period

@@ -1,9 +1,11 @@
 // Package synth adapts the traditional logic-synthesis transforms —
 // cloning, buffer insertion, pin swapping, remapping, and electrical
 // correction — to the TPS environment (§4.6, §5): every transform places
-// the cells it creates with minimal perturbation, checks bin capacities
-// (calling circuit relocation to make room when needed), and accepts or
-// rejects each change through the incremental timing analyzer.
+// the cells it creates with minimal perturbation, at the spot its
+// geometry picks, and accepts or rejects each change through the
+// incremental timing analyzer. Unlike the paper, no transform calls
+// circuit relocation to make room: a new cell may overfill its bin, and
+// legalization resolves it later (DESIGN.md §2, EXPERIMENTS.md E11).
 package synth
 
 import (
@@ -14,7 +16,6 @@ import (
 	"tps/internal/cell"
 	"tps/internal/image"
 	"tps/internal/netlist"
-	"tps/internal/relocate"
 	"tps/internal/timing"
 )
 
@@ -27,10 +28,9 @@ const maxCapPerX = 80.0
 
 // Optimizer bundles the analyzers and utilities the transforms share.
 type Optimizer struct {
-	NL    *netlist.Netlist
-	Eng   *timing.Engine
-	Im    *image.Image
-	Reloc *relocate.Relocator
+	NL  *netlist.Netlist
+	Eng *timing.Engine
+	Im  *image.Image
 	// Margin widens the critical region (ps).
 	Margin float64
 	// MinGain is the smallest timing improvement (ps) that justifies the
@@ -53,9 +53,9 @@ type Optimizer struct {
 }
 
 // New returns an optimizer with paper-scale defaults.
-func New(nl *netlist.Netlist, eng *timing.Engine, im *image.Image, rel *relocate.Relocator) *Optimizer {
+func New(nl *netlist.Netlist, eng *timing.Engine, im *image.Image) *Optimizer {
 	return &Optimizer{
-		NL: nl, Eng: eng, Im: im, Reloc: rel,
+		NL: nl, Eng: eng, Im: im,
 		Margin: 60, MinGain: 0.5,
 	}
 }
@@ -81,17 +81,13 @@ func (o *Optimizer) areaOK(extra float64) bool {
 	return o.Im.TotalUsed()+extra <= o.Im.TotalCap()*0.97
 }
 
-// placeNear locates a new gate at (x, y) if the bin has room, relocating
-// non-critical cells to make room if necessary; falls back to the original
-// coordinates when relocation fails (slight overfill beats a lost
-// optimization; legalization resolves it later).
+// placeNear locates a new gate at (x, y), clamped to the die, and
+// deposits its area in that bin even when the bin is full: slight
+// overfill beats a lost optimization, and legalization resolves it later.
 func (o *Optimizer) placeNear(g *netlist.Gate, x, y float64) {
 	t := o.NL.Lib.Tech
 	x = clamp(x, 0, o.Im.W)
 	y = clamp(y, 0, o.Im.H)
-	if o.Reloc != nil {
-		o.Reloc.FreeSpace(x, y, g.Area(t))
-	}
 	o.NL.MoveGate(g, x, y)
 	o.Im.Deposit(x, y, g.Area(t))
 }

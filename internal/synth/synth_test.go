@@ -8,7 +8,6 @@ import (
 	"tps/internal/gen"
 	"tps/internal/image"
 	"tps/internal/netlist"
-	"tps/internal/relocate"
 	"tps/internal/steiner"
 	"tps/internal/timing"
 )
@@ -32,8 +31,7 @@ func newRig(t *testing.T, chip float64, period float64) *rig {
 	st := steiner.NewCache(nl)
 	calc := delay.NewCalculator(nl, st, delay.Actual)
 	eng := timing.New(nl, calc, period)
-	rel := relocate.New(nl, eng, im)
-	opt := New(nl, eng, im, rel)
+	opt := New(nl, eng, im)
 	opt.Margin = 1e9
 	return &rig{nl, im, st, calc, eng, opt}
 }
@@ -144,6 +142,62 @@ func TestBufferCriticalHelpsLongNet(t *testing.T) {
 	}
 	if err := r.nl.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInsertionsMoveNoOtherCell crams unconnected filler cells (infinite
+// slack, so relocatable) into the bin where a buffer or a clone lands, to
+// 150 % of its capacity, and requires that the insertion moves no cell
+// that was placed before it: the new cell overfills its bin, and
+// legalization resolves that later.
+func TestInsertionsMoveNoOtherCell(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*Optimizer, int) int
+		x, y float64 // highFanout's landing spot for the new cell
+	}{
+		// Halfway between the driver (40, 40) and the far sinks' centroid.
+		{"buffer", (*Optimizer).BufferCritical, 220, 42.5},
+		// The far sinks' centroid.
+		{"clone", (*Optimizer).CloneCritical, 400, 45},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 480, 60)
+			highFanout(t, r)
+			nl, tech := r.nl, r.nl.Lib.Tech
+			bx, by := r.im.Loc(tc.x, tc.y)
+			cx, cy := r.im.Center(bx, by)
+			for b := r.im.At(bx, by); b.AreaUsed < 1.5*b.AreaCap; {
+				g := nl.AddGate("fill", nl.Lib.Cell("INV"))
+				nl.SetSize(g, 2)
+				nl.MoveGate(g, cx, cy)
+				r.im.Deposit(cx, cy, g.Area(tech))
+			}
+			type pos struct{ x, y float64 }
+			before := map[*netlist.Gate]pos{}
+			nl.Gates(func(g *netlist.Gate) { before[g] = pos{g.X, g.Y} })
+
+			if n := tc.run(r.opt, 0); n == 0 {
+				t.Fatalf("no %s accepted", tc.name)
+			}
+			landed := false
+			nl.Gates(func(g *netlist.Gate) {
+				p, old := before[g]
+				switch {
+				case !old:
+					ix, iy := r.im.Loc(g.X, g.Y)
+					landed = landed || ix == bx && iy == by
+				case g.X != p.x || g.Y != p.y:
+					t.Errorf("%s moved from (%g, %g) to (%g, %g)", g.Name, p.x, p.y, g.X, g.Y)
+				}
+			})
+			if !landed {
+				t.Fatalf("no new cell landed in the full bin (%d, %d)", bx, by)
+			}
+			if err := nl.Check(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -301,8 +355,7 @@ func TestTransformsOnGeneratedDesign(t *testing.T) {
 	st := steiner.NewCache(nl)
 	calc := delay.NewCalculator(nl, st, delay.Actual)
 	eng := timing.New(nl, calc, d.Period)
-	rel := relocate.New(nl, eng, im)
-	opt := New(nl, eng, im, rel)
+	opt := New(nl, eng, im)
 
 	wsBefore := eng.WorstSlack()
 	tnsBefore := eng.TNS()

@@ -247,7 +247,9 @@ func closeLoop(t *testing.T, nl *netlist.Netlist) {
 
 // apply replays ed on this side: a move, resize or gain change of a
 // picked gate, a buffer spliced behind its output, the removal of the
-// latest such buffer, or a full invalidation.
+// latest such buffer, a full invalidation, or the revival of the most
+// recently removed buffer spliced behind the picked gate's output, as a
+// rollback would restore it.
 func (s *drainSide) apply(ed drainEdit) {
 	nl := s.nl
 	g := s.movable[ed.pick%len(s.movable)]
@@ -294,18 +296,39 @@ func (s *drainSide) apply(ed drainEdit) {
 		}
 	case 5:
 		s.eng.InvalidateAll()
+	case 6:
+		var buf *netlist.Gate
+		for id := nl.GateCap() - 1; id >= 0 && buf == nil; id-- {
+			if r := nl.RawGate(id); r != nil && r.Removed {
+				buf = r
+			}
+		}
+		z := g.Output()
+		if buf == nil || z == nil || z.Net == nil || z.Net.Kind != netlist.Signal {
+			return
+		}
+		out := z.Net
+		nl.ReviveGate(buf)
+		nl.MoveGate(buf, g.X+3, g.Y+2)
+		mid := nl.AddNet("rmid")
+		nl.Disconnect(z)
+		nl.Connect(z, mid)
+		nl.Connect(buf.Pin("A"), mid)
+		nl.Connect(buf.Output(), out)
+		s.movable = append(s.movable, buf)
 	}
 }
 
 // runDrainScript checks that level buckets may drain unsorted on acyclic
 // graphs, because the pins of one level are independent. Two engines on
-// identical designs replay the same steps random moves, resizes, gain
-// changes and buffer insertions and removals, drawn from seed; one
+// identical designs replay the same steps — random moves, resizes, gain
+// changes, buffer insertions, removals and revivals, drawn from seed; one
 // flushes with Flush, the other with the ID-sorted reference. After every
 // flush their arrival and required times must be bit-identical and their
 // Recomputes equal — on an acyclic design, and on one with a
-// combinational cycle, where Flush keeps the sorted drain. It returns the
-// number of flushes.
+// combinational cycle, where Flush keeps the sorted drain. At the end
+// every pin must match a freshly built engine. It returns the number of
+// flushes.
 func runDrainScript(t *testing.T, seed int64, cyclic bool, steps int) int {
 	t.Helper()
 	a, b := newDrainSide(t, cyclic), newDrainSide(t, cyclic)
@@ -315,7 +338,7 @@ func runDrainScript(t *testing.T, seed int64, cyclic bool, steps int) int {
 	flushes := 0
 	for step := 0; step < steps; step++ {
 		ed := drainEdit{
-			kind: rng.Intn(6),
+			kind: rng.Intn(7),
 			pick: rng.Intn(1 << 20),
 			dx:   float64(rng.Intn(90) - 40),
 			dy:   float64(rng.Intn(90) - 40),
@@ -356,6 +379,7 @@ func runDrainScript(t *testing.T, seed int64, cyclic bool, steps int) int {
 	if flushes > 0 && (a.eng.HasCycles != cyclic || b.eng.HasCycles != cyclic) {
 		t.Fatalf("cyclic=%v: HasCycles = %v / %v", cyclic, a.eng.HasCycles, b.eng.HasCycles)
 	}
+	checkMatchesFresh(t, a.nl, a.eng.Period, a.eng, "end of script")
 	return flushes
 }
 

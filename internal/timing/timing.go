@@ -56,10 +56,9 @@ type Engine struct {
 	outPin []int32
 
 	endpoints []*netlist.Pin
-	begins    []*netlist.Pin
 	pinOf     []*netlist.Pin // pin ID → pin
 
-	// levelsValid reports that level/flags/pinOf/begins/endpoints are
+	// levelsValid reports that level/flags/pinOf/endpoints are
 	// consistent with the current topology. Connectivity edits repair them
 	// incrementally (relaxNet, GateAdded, GateRemoved); the flag drops only
 	// when an edit is too awkward to patch — cycles, replaced cells that
@@ -70,27 +69,10 @@ type Engine struct {
 	allDirty    bool
 
 	// pendArr and pendReq list pin IDs queued for recompute; inPendArr
-	// and inPendReq flag the pins still pending. A GateSlack probe drains
-	// some pins early and clears their flags, leaving dead entries that
-	// fill skips and compactPending drops.
+	// and inPendReq flag the pins still pending.
 	pendArr, pendReq []int
 	inPendArr        []bool
 	inPendReq        []bool
-
-	// Stale flags for GateSlack probes. A pin's arrival may be stale while
-	// arrStale[id] == staleEpoch, and its required time while reqStale[id]
-	// does. The arrival-flagged set is closed under successors and the
-	// required-flagged set under predecessors, so an unflagged pin has no
-	// pending pin in its cone and holds the value a Flush would give it.
-	// A probe floods the cones of the entries queued since the last query
-	// (pendArr[arrFlooded:], pendReq[reqFlooded:]); Flush drops every flag
-	// by bumping staleEpoch. The drains read the flags to tell a probe's
-	// walked cone from the rest of the design.
-	arrStale, reqStale     []uint32
-	staleEpoch             uint32
-	arrFlooded, reqFlooded int
-	arrLive, reqLive       int   // pending-list lengths after the last compaction
-	removed                []int // pins tombstoned since the last query
 
 	// Reusable scratch (relevel, full-flush ordering, incremental heaps):
 	// sized to high-water marks so steady-state flushes allocate nothing.
@@ -102,8 +84,7 @@ type Engine struct {
 	levelStart   []int32 // level → start offset in idSorted
 	buckets      [][]int // per-level worklists for drainArr and drainReq
 	relaxQueue   []int   // BFS workspace for incremental level repair
-	adj          []int   // neighbour IDs from appendPred/appendSucc; probe stack
-	walked       []int   // a probe's walked set
+	adj          []int   // neighbour IDs from appendPred/appendSucc
 
 	// Recomputes counts pin evaluations since construction; tests use it
 	// to demonstrate incrementality.
@@ -127,11 +108,10 @@ const (
 // period. The engine subscribes to netlist changes.
 func New(nl *netlist.Netlist, calc *delay.Calculator, period float64) *Engine {
 	e := &Engine{
-		nl:         nl,
-		Calc:       calc,
-		Period:     period,
-		Setup:      nl.Lib.Tech.Tau,
-		staleEpoch: 1,
+		nl:     nl,
+		Calc:   calc,
+		Period: period,
+		Setup:  nl.Lib.Tech.Tau,
 	}
 	nl.Observe(e)
 	return e
@@ -203,7 +183,7 @@ func outRef(g *netlist.Gate) int32 {
 	return 0
 }
 
-// relevel rebuilds pin levels, flags, and begin/end lists with Kahn's
+// relevel rebuilds pin levels, flags, and the end-point list with Kahn's
 // algorithm over the pin graph. Arrival/required values survive (they are
 // indexed by stable pin IDs): after a topology edit only the edit site —
 // marked dirty by the observer callbacks — and any newly created pins need
@@ -221,7 +201,6 @@ func (e *Engine) relevel() {
 		e.pinOf[i] = nil
 	}
 	e.endpoints = e.endpoints[:0]
-	e.begins = e.begins[:0]
 
 	if cap(e.indegScratch) < np {
 		e.indegScratch = make([]int32, np)
@@ -238,9 +217,6 @@ func (e *Engine) relevel() {
 			fl := e.register(p, zid)
 			if fl&flagClockPin != 0 {
 				continue
-			}
-			if fl&flagBegin != 0 {
-				e.begins = append(e.begins, p)
 			}
 			if fl&flagEnd != 0 {
 				e.endpoints = append(e.endpoints, p)
@@ -447,14 +423,9 @@ func (e *Engine) ensure() {
 	// edge set without any per-net event granularity, so they force a full
 	// relevel via the kind epoch. Ordinary connectivity edits are repaired
 	// in place by the observer callbacks and leave levelsValid set.
-	if e.levelsStale() {
+	if e.level == nil || !e.levelsValid || e.kindEpoch != e.nl.KindEpoch {
 		e.relevel()
 	}
-}
-
-// levelsStale reports that the next query must relevel first.
-func (e *Engine) levelsStale() bool {
-	return e.level == nil || !e.levelsValid || e.kindEpoch != e.nl.KindEpoch
 }
 
 // relaxNet repairs the levelization after a connectivity edit on net n by
@@ -517,9 +488,8 @@ func (e *Engine) relaxNet(n *netlist.Net) {
 	e.relaxQueue = q[:0]
 }
 
-// markArr queues pin id's arrival for recompute. The flag is always set,
-// growing the slab for pins marked before the arrays grew: a list entry
-// whose flag is clear has been drained by a probe.
+// markArr queues pin id's arrival for recompute, growing the flag slab
+// for pins marked before the arrays grew.
 func (e *Engine) markArr(id int) {
 	if id >= len(e.inPendArr) {
 		e.inPendArr = grow(e.inPendArr, e.nl.NumPins())
@@ -584,20 +554,9 @@ func (e *Engine) bucketPush(l int32, id int) {
 	e.buckets[l] = append(e.buckets[l], id)
 }
 
-// Flush brings all timing up to date. Every query but GateSlack calls it.
+// Flush brings all timing up to date. Every query calls it.
 func (e *Engine) Flush() {
 	e.ensure()
-	// Nothing stays pending, so nothing stays stale: with no pin flagged,
-	// the drains below sweep every pin they reach.
-	e.staleEpoch++
-	if e.staleEpoch == 0 {
-		clear(e.arrStale)
-		clear(e.reqStale)
-		e.staleEpoch = 1
-	}
-	e.arrFlooded, e.reqFlooded = 0, 0
-	e.arrLive, e.reqLive = 0, 0
-	e.removed = e.removed[:0]
 	if e.allDirty {
 		e.flushAll()
 		return
@@ -700,11 +659,10 @@ func (e *Engine) flushAll() {
 }
 
 // fill files the pending pins among ids into the level buckets and
-// returns the lowest and highest level it filed (lo > hi when none).
-// Flush fills from the pending lists, a GateSlack probe from its walked
-// cone. Entries a probe has drained are skipped. An entry whose pin was
-// tombstoned after it was marked loses its pending flag instead of
-// leaking a permanent true that would shadow the slot in any future scan.
+// returns the lowest and highest level it filed (lo > hi when none). An
+// entry whose pin was tombstoned after it was marked loses its pending
+// flag instead of leaking a permanent true that would shadow the slot in
+// any future scan.
 func (e *Engine) fill(ids []int, pending []bool) (lo, hi int32) {
 	lo, hi = math.MaxInt32, -1
 	for _, id := range ids {
@@ -733,21 +691,12 @@ func (e *Engine) fill(ids []int, pending []bool) (lo, hi int32) {
 // so a push can land at or below the sweep cursor); the sweep then
 // rewinds to the pushed level — already-drained entries are skipped by
 // the pend flags — and each bucket is drained in ID order, preserving
-// correctness at priority-queue-grade cost.
-//
-// A changed arrival pushes its successors. A successor whose stale flag
-// carries the current epoch lies outside the walked cone of the probe
-// that filled the buckets, so it joins the pending list for a later
-// query. Any other successor drains in this sweep.
+// correctness at priority-queue-grade cost. A changed arrival pushes its
+// successors into the sweep.
 func (e *Engine) drainArr(lo, hi int32) {
-	ep := e.staleEpoch
 	cur, rewind := int32(0), int32(-1)
 	push := func(q int) {
 		if e.inPendArr[q] {
-			return
-		}
-		if e.arrStale[q] == ep {
-			e.markArr(q)
 			return
 		}
 		e.inPendArr[q] = true
@@ -817,14 +766,9 @@ func (e *Engine) drainArr(lo, hi int32) {
 // reqSettled decides, and a changed required time pushes its
 // predecessors, so the rewind guard fires on upward pushes instead.
 func (e *Engine) drainReq(lo, hi int32) {
-	ep := e.staleEpoch
 	cur, rewind := int32(0), int32(-1)
 	push := func(q int) {
 		if e.inPendReq[q] {
-			return
-		}
-		if e.reqStale[q] == ep {
-			e.markReq(q)
 			return
 		}
 		e.inPendReq[q] = true
@@ -897,113 +841,6 @@ func (e *Engine) reqSettled(id int, v float64) bool {
 	return math.Abs(v-old) <= eps || v == old
 }
 
-// ---- cone-local point queries ----
-
-// settle gives gate g's pins the arrival and required times a Flush would
-// give them now (see GateSlack). It flags the cones of the entries queued
-// since the last query, then drains the pending pins of g's flagged
-// fan-in and fan-out with Flush's drains and clears those pins' flags.
-func (e *Engine) settle(g *netlist.Gate) {
-	if len(e.pendArr) == 0 && len(e.pendReq) == 0 {
-		return // nothing pending, nothing stale
-	}
-	for _, id := range e.removed {
-		// Drop a tombstoned pin's entries as fill does. It has no timing
-		// edges, so unflagging it keeps both flagged sets closed, and no
-		// walk can reach it.
-		if e.pinOf[id] == nil {
-			e.inPendArr[id], e.inPendReq[id] = false, false
-			e.arrStale[id], e.reqStale[id] = 0, 0
-		}
-	}
-	e.removed = e.removed[:0]
-	e.flood(e.pendArr[e.arrFlooded:], e.inPendArr, e.arrStale, e.appendSucc)
-	e.flood(e.pendReq[e.reqFlooded:], e.inPendReq, e.reqStale, e.appendPred)
-	e.pendArr, e.arrLive = compactPending(e.pendArr, e.inPendArr, e.arrLive)
-	e.pendReq, e.reqLive = compactPending(e.pendReq, e.inPendReq, e.reqLive)
-	e.drainArr(e.fill(e.walk(g, e.arrStale, e.appendPred), e.inPendArr))
-	e.drainReq(e.fill(e.walk(g, e.reqStale, e.appendSucc), e.inPendReq))
-	// The entries the drains queued lie in flagged cones already.
-	e.arrFlooded, e.reqFlooded = len(e.pendArr), len(e.pendReq)
-}
-
-// flood flags the cone of every live entry in ids: forward from a pending
-// arrival (next = appendSucc), backward from a pending required time
-// (next = appendPred). It stops at flagged pins, whose cones closure has
-// flagged already.
-func (e *Engine) flood(ids []int, pending []bool, stale []uint32, next func([]int, int) []int) {
-	ep := e.staleEpoch
-	stack := e.adj[:0]
-	for _, id := range ids {
-		if !pending[id] || e.pinOf[id] == nil {
-			continue
-		}
-		stack = append(stack, id)
-		for len(stack) > 0 {
-			id := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if stale[id] == ep {
-				continue
-			}
-			stale[id] = ep
-			stack = next(stack, id)
-		}
-	}
-	e.adj = stack
-}
-
-// compactPending drops drained, tombstoned and repeated entries from a
-// pending list once it has doubled past its length at the last
-// compaction, so a long run of probes between flushes keeps the list near
-// its live size at amortized O(1) per entry.
-func compactPending(ids []int, pending []bool, last int) ([]int, int) {
-	if len(ids) <= 2*last {
-		return ids, last
-	}
-	live := ids[:0]
-	for _, id := range ids {
-		if pending[id] {
-			pending[id] = false // so a repeat of id is dropped
-			live = append(live, id)
-		}
-	}
-	for _, id := range live {
-		pending[id] = true
-	}
-	return live, len(live)
-}
-
-// walk collects the flagged part of g's cone, back through flagged
-// predecessors for arrivals (next = appendPred) or forward through
-// flagged successors for required times (next = appendSucc), and clears
-// its flags. Closure puts every pending pin of the cone in the walk, and
-// leaves a neighbour of a walked pin on the far side flagged exactly when
-// the neighbour lies outside the walk. Clock pins carry no slack and are
-// not walked from.
-func (e *Engine) walk(g *netlist.Gate, stale []uint32, next func([]int, int) []int) []int {
-	ep := e.staleEpoch
-	w := e.walked[:0]
-	stack := e.adj[:0]
-	for _, p := range g.Pins {
-		if e.flags[p.ID]&flagClockPin == 0 {
-			stack = append(stack, p.ID)
-		}
-	}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if stale[id] != ep {
-			continue
-		}
-		stale[id] = 0
-		w = append(w, id)
-		stack = next(stack, id)
-	}
-	e.adj = stack
-	e.walked = w
-	return w
-}
-
 // ---- queries ----
 
 // Arrival returns the arrival time at pin p in ps.
@@ -1065,18 +902,9 @@ func (e *Engine) NetSlack(n *netlist.Net) float64 {
 	return s
 }
 
-// GateSlack returns the worst slack among the gate's pins. It is a point
-// query: only the pending pins in the gate's fan-in cone (arrival) and
-// fan-out cone (required) are recomputed, and the rest stay pending for
-// the next Flush. It flushes the whole design instead before the first
-// query, after a full invalidation, on a graph with cycles, and when a
-// relevel is due.
+// GateSlack returns the worst slack among the gate's non-clock pins.
 func (e *Engine) GateSlack(g *netlist.Gate) float64 {
-	if e.levelsStale() || e.allDirty || e.HasCycles {
-		e.Flush()
-	} else {
-		e.settle(g)
-	}
+	e.Flush()
 	s := math.Inf(1)
 	for _, p := range g.Pins {
 		if e.flags[p.ID]&flagClockPin != 0 {
@@ -1159,7 +987,7 @@ func (e *Engine) GateResized(g *netlist.Gate) {
 	if e.levelsValid {
 		// ReplaceCell may swap a pin's derived role (clock/begin/end) even
 		// with identical port shapes; any drift invalidates the leveling
-		// and the begin/end lists wholesale. SetSize and friends never
+		// and the end-point list wholesale. SetSize and friends never
 		// drift, so the common case is a cheap confirming scan. The cached
 		// Late product is refreshed unconditionally — the replacement cell
 		// may change it without touching any role. ReplaceCell keeps port
@@ -1198,9 +1026,7 @@ func (e *Engine) GateResized(g *netlist.Gate) {
 }
 
 // NetChanged implements netlist.Observer. Connectivity changes repair the
-// levelization in place (relaxNet) and mark the edit site dirty;
-// weight-only changes just touch the net (cheap and conservative — the
-// relaxation scan finds nothing to raise).
+// levelization in place (relaxNet) and mark the edit site dirty.
 func (e *Engine) NetChanged(n *netlist.Net) {
 	if e.level == nil {
 		return
@@ -1229,11 +1055,7 @@ func (e *Engine) GateAdded(g *netlist.Gate) {
 	e.growPinArrays(e.nl.NumPins())
 	zid := outRef(g)
 	for _, p := range g.Pins {
-		fl := e.register(p, zid)
-		if fl&flagBegin != 0 {
-			e.begins = insertByID(e.begins, p)
-		}
-		if fl&flagEnd != 0 {
+		if e.register(p, zid)&flagEnd != 0 {
 			e.endpoints = insertByID(e.endpoints, p)
 		}
 	}
@@ -1265,25 +1087,23 @@ func (e *Engine) GateAdded(g *netlist.Gate) {
 // GateRemoved implements netlist.Observer. The per-pin Disconnects have
 // already fired (RemoveGate detaches every pin first), so all that remains
 // is tombstoning: nil the pinOf slots so flushes skip them, and drop the
-// gate's pins from the begin/end lists in place, preserving ID order.
+// gate's pins from the end-point list in place, preserving ID order.
 func (e *Engine) GateRemoved(g *netlist.Gate) {
 	if e.level == nil || !e.levelsValid {
 		return // the next relevel rebuilds pinOf and the lists anyway
 	}
-	hadFlagged := false
+	hadEnd := false
 	for _, p := range g.Pins {
 		if p.ID >= len(e.pinOf) {
 			continue
 		}
-		if e.flags[p.ID]&(flagBegin|flagEnd) != 0 {
-			hadFlagged = true
+		if e.flags[p.ID]&flagEnd != 0 {
+			hadEnd = true
 		}
 		e.flags[p.ID] = 0
 		e.pinOf[p.ID] = nil
-		e.removed = append(e.removed, p.ID)
 	}
-	if hadFlagged {
-		e.begins = dropGatePins(e.begins, g)
+	if hadEnd {
 		e.endpoints = dropGatePins(e.endpoints, g)
 	}
 }
@@ -1300,8 +1120,6 @@ func (e *Engine) growPinArrays(np int) {
 	e.flags = grow(e.flags, np)
 	e.inPendArr = grow(e.inPendArr, np)
 	e.inPendReq = grow(e.inPendReq, np)
-	e.arrStale = grow(e.arrStale, np)
-	e.reqStale = grow(e.reqStale, np)
 	e.pinOf = grow(e.pinOf, np)
 }
 
