@@ -38,7 +38,10 @@ const ablationScale = 0.15
 
 func benchTable1(b *testing.B, des int) {
 	for i := 0; i < b.N; i++ {
-		p := Table1Params(des, BenchScale)
+		p, err := Table1Params(des, BenchScale)
+		if err != nil {
+			b.Fatal(err)
+		}
 		dS := NewDesign(p)
 		spr, err := dS.RunSPR(DefaultSPROptions())
 		dS.Close()
@@ -91,7 +94,10 @@ func BenchmarkFig2WireHistogram(b *testing.B) {
 func BenchmarkAblationReflow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(disable bool) Metrics {
-			p := Table1Params(1, ablationScale)
+			p, err := Table1Params(1, ablationScale)
+			if err != nil {
+				b.Fatal(err)
+			}
 			d := NewDesign(p)
 			defer d.Close()
 			opt := DefaultTPSOptions()
@@ -119,7 +125,10 @@ func BenchmarkAblationReflow(b *testing.B) {
 func BenchmarkAblationNetWeights(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(des int, seed int64, useLE bool) Metrics {
-			p := Table1Params(des, ablationScale)
+			p, err := Table1Params(des, ablationScale)
+			if err != nil {
+				b.Fatal(err)
+			}
 			p.Seed = seed
 			d := NewDesign(p)
 			defer d.Close()
@@ -190,7 +199,10 @@ func BenchmarkAblationVirtualDiscretization(b *testing.B) {
 func BenchmarkAblationClockSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		run := func(disable bool) (Metrics, float64, float64) {
-			p := Table1Params(1, BenchScale)
+			p, err := Table1Params(1, BenchScale)
+			if err != nil {
+				b.Fatal(err)
+			}
 			p.RegFraction = 0.25
 			d := NewDesign(p)
 			defer d.Close()
@@ -223,7 +235,10 @@ func BenchmarkAblationClockSchedule(b *testing.B) {
 
 func BenchmarkFlowRuntime(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		p := Table1Params(5, BenchScale)
+		p, err := Table1Params(5, BenchScale)
+		if err != nil {
+			b.Fatal(err)
+		}
 		dS := NewDesign(p)
 		spr, err := dS.RunSPR(DefaultSPROptions())
 		dS.Close()

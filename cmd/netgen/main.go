@@ -25,8 +25,12 @@ func main() {
 	flag.Parse()
 
 	var p tps.DesignParams
-	if *des >= 1 && *des <= 5 {
-		p = tps.Table1Params(*des, *scale)
+	if *des != 0 {
+		var err error
+		if p, err = tps.Table1Params(*des, *scale); err != nil {
+			fmt.Fprintln(os.Stderr, "netgen:", err)
+			os.Exit(1)
+		}
 		p.Seed = *seed
 	} else {
 		p = tps.DesignParams{

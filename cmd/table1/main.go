@@ -28,12 +28,16 @@ func main() {
 	fmt.Fprintln(tw, "Ckt\tFlow\ticells\tarea µm²\tslack ps\t% cycle impr.\tHoriz pk/avg\tVert pk/avg\tCPU s\titers")
 
 	designs := []int{1, 2, 3, 4, 5}
-	if *only >= 1 && *only <= 5 {
+	if *only != 0 {
 		designs = []int{*only}
 	}
 	for _, i := range designs {
+		p, err := tps.Table1Params(i, *scale)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "table1:", err)
+			os.Exit(1)
+		}
 		run := func(flow string) (tps.Metrics, error) {
-			p := tps.Table1Params(i, *scale)
 			d := tps.NewDesign(p)
 			defer d.Close()
 			if *verbose {

@@ -88,8 +88,11 @@ func run() error {
 			}
 			defer f.Close()
 			return tps.Load(f)
-		case *des >= 1 && *des <= 5:
-			p := tps.Table1Params(*des, *scale)
+		case *des != 0:
+			p, err := tps.Table1Params(*des, *scale)
+			if err != nil {
+				return nil, err
+			}
 			p.Seed = *seed
 			return tps.NewDesign(p), nil
 		default:

@@ -54,7 +54,10 @@ init {
 
 func baseDesign(t testing.TB, seed int64) *netio.State {
 	t.Helper()
-	p := gen.Des(1, 0.02)
+	p, err := gen.Des(1, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Seed = seed
 	return netio.CaptureDesign(gen.Generate(cell.Default(), p))
 }

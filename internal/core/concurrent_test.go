@@ -29,14 +29,17 @@ type flowCfg struct {
 }
 
 func runFlow(t *testing.T, cfg flowCfg) outcome {
-	p := gen.Des(cfg.des, cfg.scale)
+	p, err := gen.Des(cfg.des, cfg.scale)
+	if err != nil {
+		t.Error(err) // runs off the test goroutine too
+		return outcome{}
+	}
 	p.Seed = cfg.seed
 	d := gen.Generate(cell.Default(), p)
 	c := scenario.NewContext(d, cfg.seed)
 	defer c.Close()
 	c.SetWorkers(2)
 	var m scenario.Metrics
-	var err error
 	if cfg.flow == "TPS" {
 		opt := DefaultTPSOptions()
 		opt.TransformBudget = 16

@@ -12,7 +12,10 @@ import (
 )
 
 func smallDesign(seed int64) *gen.Design {
-	p := gen.Des(1, 0.05) // ≈760 gates
+	p, err := gen.Des(1, 0.05) // ≈760 gates
+	if err != nil {
+		panic(err)
+	}
 	p.Seed = seed
 	return gen.Generate(cell.Default(), p)
 }

@@ -38,7 +38,6 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) scenario.Metrics {
 	weighter := netweight.New(c.NL, c.Eng, opt.WeightMode)
 	weighter.UseLogicalEffort = opt.UseLogicalEffort
 	weighter.Margin = 0.06 * c.Period
-	rel := relocate.New(c.NL, c.Eng, c.Im)
 	mig := migrate.New(c.NL, c.Eng, c.Im)
 	mig.Margin = 0.08 * c.Period
 	so := synth.New(c.NL, c.Eng, c.Im)
@@ -128,7 +127,7 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) scenario.Metrics {
 			n := sizing.SizeForArea(c.NL, c.Eng, 80, nil)
 			c.Logf("status %3d: late area recovery resized %d", status, n)
 		}
-		rel.RelieveAll(0.25)
+		relocate.New(c.NL, c.Eng, c.Im).RelieveAll(0.25)
 		stopSynth()
 		placer.SyncImage()
 

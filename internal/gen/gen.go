@@ -58,7 +58,8 @@ type Params struct {
 // given index (1–5), scaled by scale (1.0 = paper-sized; tests use less).
 // Cell counts are chosen so the *placeable instance* totals land near the
 // paper's icells column (18622, 25927, 39734, 21584, 14780 for SPR runs).
-func Des(i int, scale float64) Params {
+// Any other index is an error.
+func Des(i int, scale float64) (Params, error) {
 	type row struct {
 		gates  int
 		levels int
@@ -73,7 +74,7 @@ func Des(i int, scale float64) Params {
 	}
 	r, ok := rows[i]
 	if !ok {
-		panic(fmt.Sprintf("gen: no Des%d", i))
+		return Params{}, fmt.Errorf("gen: no Table 1 design Des%d (want 1–5)", i)
 	}
 	ng := int(float64(r.gates) * scale)
 	if ng < 60 {
@@ -93,7 +94,7 @@ func Des(i int, scale float64) Params {
 		Utilization:        0.65,
 		PeriodScale:        0.92,
 		Seed:               int64(1000 + i),
-	}
+	}, nil
 }
 
 // Design is a generated netlist plus its physical frame and constraint.

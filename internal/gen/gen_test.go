@@ -175,18 +175,18 @@ func TestSeedChangesDesign(t *testing.T) {
 
 func TestDesConfigs(t *testing.T) {
 	for i := 1; i <= 5; i++ {
-		p := Des(i, 0.02)
+		p, err := Des(i, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
 		d := Generate(cell.Default(), p)
 		if err := d.NL.Check(); err != nil {
 			t.Errorf("Des%d: %v", i, err)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("Des(9) did not panic")
-		}
-	}()
-	Des(9, 1)
+	if _, err := Des(9, 1); err == nil {
+		t.Errorf("Des(9) returned no error")
+	}
 }
 
 func TestChipAreaMatchesUtilization(t *testing.T) {

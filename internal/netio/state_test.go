@@ -14,7 +14,10 @@ import (
 
 func stateRig(t *testing.T, seed int64) *gen.Design {
 	t.Helper()
-	p := gen.Des(1, 0.02)
+	p, err := gen.Des(1, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Seed = seed
 	return gen.Generate(cell.Default(), p)
 }
@@ -107,7 +110,10 @@ func firstDiff(got, want string) string {
 // spliced-in buffer, resizes and weight changes.
 func TestForkMatchesTextRoundTrip(t *testing.T) {
 	for i := 1; i <= 5; i++ {
-		p := gen.Des(i, 0.02)
+		p, err := gen.Des(i, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p.Seed = int64(i)
 		d := gen.Generate(cell.Default(), p)
 		t.Run(fmt.Sprintf("Des%d", i), func(t *testing.T) { checkFork(t, d) })

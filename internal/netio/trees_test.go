@@ -108,7 +108,10 @@ func checkForkTrees(t *testing.T, st *State) {
 // resizes and weight changes (the States of TestForkMatchesTextRoundTrip).
 func TestForkTreesMatchFreshBuild(t *testing.T) {
 	for i := 1; i <= 5; i++ {
-		p := gen.Des(i, 0.02)
+		p, err := gen.Des(i, 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
 		p.Seed = int64(i)
 		d := gen.Generate(cell.Default(), p)
 		t.Run(fmt.Sprintf("Des%d", i), func(t *testing.T) { checkForkTrees(t, CaptureDesign(d)) })

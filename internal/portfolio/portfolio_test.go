@@ -72,7 +72,10 @@ init {
 
 func baseDesign(t *testing.T, seed int64) *gen.Design {
 	t.Helper()
-	p := gen.Des(1, 0.02)
+	p, err := gen.Des(1, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Seed = seed
 	return gen.Generate(cell.Default(), p)
 }

@@ -1,9 +1,6 @@
 package relocate
 
-import (
-	"tps/internal/congestion"
-	"tps/internal/image"
-)
+import "tps/internal/congestion"
 
 // RelieveCongestion is the congestion-elimination transform sketched in §1: "a
 // transform to eliminate wire congestion can do this … by moving cells".
@@ -12,12 +9,13 @@ import (
 // takes its incident wiring along, lowering the local crossing counts.
 // The timing engine (inside the relocator) keeps critical cells pinned.
 // Returns the number of cells moved.
-// cong is the design's congestion analyzer over im; its Analyze refreshes
-// WireUsed on the bins before the hot spots are ranked.
+// cong is the design's congestion analyzer over the relocator's image
+// rel.Im; its Analyze refreshes WireUsed on the bins before the hot spots
+// are ranked.
 // stop, when non-nil, is polled between hot-spot bins (safe commit
 // points); a non-nil return stops the pass with the moves so far kept.
-func RelieveCongestion(cong *congestion.Analyzer, im *image.Image,
-	rel *Relocator, maxMoves int, stop func() error) int {
+func RelieveCongestion(cong *congestion.Analyzer, rel *Relocator, maxMoves int, stop func() error) int {
+	im := rel.Im
 	cong.Analyze()
 
 	type hot struct {

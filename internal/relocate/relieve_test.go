@@ -62,7 +62,7 @@ func TestRelieveReducesOverflow(t *testing.T) {
 	if before.OverflowEdges == 0 {
 		t.Fatal("setup error: no overflow to relieve")
 	}
-	moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), im, rel, 0, nil)
+	moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), rel, 0, nil)
 	if moved == 0 {
 		t.Fatal("no cells moved")
 	}
@@ -87,14 +87,14 @@ func TestRelieveNoopWhenClean(t *testing.T) {
 	calc := delay.NewCalculator(nl, st, delay.Actual)
 	eng := timing.New(nl, calc, 1e6)
 	rel := New(nl, eng, im)
-	if moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), im, rel, 0, nil); moved != 0 {
+	if moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), rel, 0, nil); moved != 0 {
 		t.Errorf("moved %d cells on a congestion-free design", moved)
 	}
 }
 
 func TestRelieveBoundedByMaxMoves(t *testing.T) {
 	nl, st, im, rel := hotspotRig(t)
-	if moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), im, rel, 3, nil); moved > 8 {
+	if moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), rel, 3, nil); moved > 8 {
 		t.Errorf("maxMoves ignored: %d cells moved", moved)
 	}
 }
@@ -109,7 +109,7 @@ func TestRelieveLeavesAnalyzerFresh(t *testing.T) {
 	cong := congestion.NewAnalyzer(nl, st, im)
 	defer cong.Close()
 	cong.FullThreshold = 1 // keep every re-analysis on the incremental path
-	if moved := RelieveCongestion(cong, im, rel, 0, nil); moved == 0 {
+	if moved := RelieveCongestion(cong, rel, 0, nil); moved == 0 {
 		t.Fatal("no cells moved")
 	}
 	passes := cong.IncrementalPasses

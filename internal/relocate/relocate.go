@@ -3,7 +3,9 @@
 // congested bin by rippling non-critical cells outward along shortest
 // paths toward bins with spare capacity, without hurting worst-case
 // timing. Two transforms call it: relieve fixes every overfull bin, and
-// decongest pushes cells out of congestion hot spots.
+// decongest pushes cells out of congestion hot spots. Each call builds its
+// own Relocator, which files the movable gates by bin from the placement
+// it starts on.
 package relocate
 
 import (
@@ -15,7 +17,10 @@ import (
 )
 
 // Relocator couples the bin image with the timing analyzer so only
-// non-critical cells — cells with positive slack — move.
+// non-critical cells — cells with positive slack — move. A relocator
+// serves one transform call: its bin index is built by New and kept
+// current across its own moves only, so the placement must not change
+// under it between calls.
 type Relocator struct {
 	NL  *netlist.Netlist
 	Eng *timing.Engine
@@ -23,22 +28,13 @@ type Relocator struct {
 	// Moves counts cells relocated since construction.
 	Moves int
 
-	// Incremental bin index: bin flat id → movable gates inside, plus the
-	// bin each gate is filed under. The relocator observes the netlist, so
-	// gate moves land in a pending queue that the public entry points
-	// drain; a full O(gates) rebuild happens only on the first call, after
-	// bulk movement (global placement), or when the bin grid refines.
-	// List order within a bin is arbitrary — moveOneCell sorts candidates
-	// by the strict (area, ID) order, so every choice stays deterministic.
+	// binGates maps a flat bin index to the movable gates inside it. List
+	// order within a bin is arbitrary — moveOneCell sorts candidates by
+	// the strict (area, ID) order, so every choice stays deterministic.
 	binGates [][]*netlist.Gate
-	gateBin  []int32 // gate ID → flat bin index, -1 when unindexed
-	pending  []*netlist.Gate
-	valid    bool
-	indexNX  int
-	indexNY  int
 
-	// augment's search scratch, reused across calls: dist and prev hold a
-	// bin's state only while seen[bin] == epoch.
+	// augment's search scratch, reused within the call: dist and prev hold
+	// a bin's state only while seen[bin] == epoch.
 	dist  []float64
 	prev  []int32
 	seen  []uint32
@@ -47,80 +43,19 @@ type Relocator struct {
 	path  []int
 }
 
-// New returns a relocator subscribed to netlist changes. Call Close to
-// detach it.
+// New returns a relocator over the current placement, with every movable
+// gate filed under the bin that holds it.
 func New(nl *netlist.Netlist, eng *timing.Engine, im *image.Image) *Relocator {
-	r := &Relocator{NL: nl, Eng: eng, Im: im}
-	nl.Observe(r)
-	return r
-}
-
-// Close unsubscribes the relocator from the netlist.
-func (r *Relocator) Close() { r.NL.Unobserve(r) }
-
-// ---- netlist.Observer: keep the bin index in sync ----
-
-func (r *Relocator) GateMoved(g *netlist.Gate)   { r.note(g) }
-func (r *Relocator) GateAdded(g *netlist.Gate)   { r.note(g) }
-func (r *Relocator) GateRemoved(g *netlist.Gate) { r.note(g) }
-func (r *Relocator) GateResized(*netlist.Gate)   {}
-func (r *Relocator) NetChanged(*netlist.Net)     {}
-
-func (r *Relocator) note(g *netlist.Gate) {
-	if !r.valid {
-		return
-	}
-	if len(r.pending) >= r.NL.NumGates()/2+64 {
-		// Bulk movement: replaying every event costs more than one rebuild
-		// at the next entry point.
-		r.valid = false
-		r.pending = r.pending[:0]
-		return
-	}
-	r.pending = append(r.pending, g)
-}
-
-// ensureIndex brings the bin index up to date with the netlist.
-func (r *Relocator) ensureIndex() {
-	if !r.valid || r.indexNX != r.Im.NX || r.indexNY != r.Im.NY {
-		r.rebuildIndex()
-		return
-	}
-	for _, g := range r.pending {
-		r.refile(g)
-	}
-	r.pending = r.pending[:0]
-}
-
-// refile moves gate g to the bin list matching its current state. Replayed
-// events are idempotent: a gate already filed where it belongs is a no-op.
-func (r *Relocator) refile(g *netlist.Gate) {
-	for g.ID >= len(r.gateBin) {
-		r.gateBin = append(r.gateBin, -1)
-	}
-	old := r.gateBin[g.ID]
-	want := int32(-1)
-	if !g.Removed && !g.Fixed && !g.IsPad() {
-		ix, iy := r.Im.Loc(g.X, g.Y)
-		want = int32(iy*r.Im.NX + ix)
-	}
-	if old == want {
-		return
-	}
-	if old >= 0 {
-		bg := r.binGates[old]
-		for i, og := range bg {
-			if og == g {
-				bg[i] = bg[len(bg)-1]
-				r.binGates[old] = bg[:len(bg)-1]
-				break
-			}
+	r := &Relocator{NL: nl, Eng: eng, Im: im, binGates: make([][]*netlist.Gate, im.NumBins())}
+	nl.Gates(func(g *netlist.Gate) {
+		if g.Fixed || g.IsPad() {
+			return
 		}
-	}
-	if want >= 0 {
-		r.binGates[want] = append(r.binGates[want], g)
-	}
-	r.gateBin[g.ID] = want
+		ix, iy := im.Loc(g.X, g.Y)
+		flat := iy*im.NX + ix
+		r.binGates[flat] = append(r.binGates[flat], g)
+	})
+	return r
 }
 
 // FreeSpace tries to create at least `need` µm² of free capacity in the
@@ -128,7 +63,6 @@ func (r *Relocator) refile(g *netlist.Gate) {
 // (distance-weighted) augmenting paths to bins with spare capacity.
 // Returns true if the space is available afterwards.
 func (r *Relocator) FreeSpace(x, y, need float64) bool {
-	r.ensureIndex()
 	bi, bj := r.Im.Loc(x, y)
 	for iter := 0; iter < 32; iter++ {
 		b := r.Im.At(bi, bj)
@@ -145,7 +79,6 @@ func (r *Relocator) FreeSpace(x, y, need float64) bool {
 // RelieveAll fixes every overfull bin (used as the stand-alone transform).
 // Returns the number of cells moved.
 func (r *Relocator) RelieveAll(slack float64) int {
-	r.ensureIndex()
 	before := r.Moves
 	for _, flat := range r.Im.Overfull(slack) {
 		ix, iy := flat%r.Im.NX, flat/r.Im.NX
@@ -289,39 +222,6 @@ func (r *Relocator) augment(si, sj int) bool {
 	return moved
 }
 
-// rebuildIndex refreshes the whole bin → gates index from the netlist,
-// keeping per-bin list capacity when the grid shape is unchanged.
-func (r *Relocator) rebuildIndex() {
-	nb := r.Im.NumBins()
-	if len(r.binGates) != nb {
-		r.binGates = make([][]*netlist.Gate, nb)
-	} else {
-		for i := range r.binGates {
-			r.binGates[i] = r.binGates[i][:0]
-		}
-	}
-	ng := r.NL.GateCap()
-	if cap(r.gateBin) < ng {
-		r.gateBin = make([]int32, ng)
-	}
-	r.gateBin = r.gateBin[:ng]
-	for i := range r.gateBin {
-		r.gateBin[i] = -1
-	}
-	r.indexNX, r.indexNY = r.Im.NX, r.Im.NY
-	r.NL.Gates(func(g *netlist.Gate) {
-		if g.Fixed || g.IsPad() {
-			return
-		}
-		ix, iy := r.Im.Loc(g.X, g.Y)
-		flat := iy*r.Im.NX + ix
-		r.binGates[flat] = append(r.binGates[flat], g)
-		r.gateBin[g.ID] = int32(flat)
-	})
-	r.pending = r.pending[:0]
-	r.valid = true
-}
-
 // moveOneCell relocates the best (smallest non-critical) movable cell from
 // bin (fi,fj) to the center of bin (ti,tj).
 func (r *Relocator) moveOneCell(fi, fj, ti, tj int) bool {
@@ -340,19 +240,17 @@ func (r *Relocator) moveOneCell(fi, fj, ti, tj int) bool {
 		return cands[i].ID < cands[j].ID
 	})
 	for k, g := range cands {
-		if r.Eng != nil && r.Eng.GateSlack(g) <= 0 {
+		if r.Eng.GateSlack(g) <= 0 {
 			continue
 		}
 		cx, cy := r.Im.Center(ti, tj)
 		r.Im.Withdraw(g.X, g.Y, g.Area(t))
 		r.NL.MoveGate(g, cx, cy)
 		r.Im.Deposit(cx, cy, g.Area(t))
-		// Maintain the index across our own move (the observer echo of
-		// this MoveGate replays as a no-op refile).
+		// Keep the index current across our own move.
 		r.binGates[from] = append(cands[:k], cands[k+1:]...)
 		to := tj*r.Im.NX + ti
 		r.binGates[to] = append(r.binGates[to], g)
-		r.gateBin[g.ID] = int32(to)
 		r.Moves++
 		return true
 	}

@@ -1,16 +1,6 @@
 package relocate
 
-import (
-	"tps/internal/scenario"
-)
-
-// forScenario returns the per-run relocator actor that relieve and
-// decongest share.
-func forScenario(c *scenario.Context) *Relocator {
-	return scenario.Actor(c, "relocate", func() *Relocator {
-		return New(c.NL, c.Eng, c.Im)
-	})
-}
+import "tps/internal/scenario"
 
 func init() {
 	scenario.Register(scenario.Transform{
@@ -21,7 +11,7 @@ func init() {
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
 			stop := c.Track("synthesis")
-			n := forScenario(c).RelieveAll(a.Float("frac", 0.25))
+			n := New(c.NL, c.Eng, c.Im).RelieveAll(a.Float("frac", 0.25))
 			stop()
 			return scenario.Report{Changed: n}, nil
 		},
@@ -33,7 +23,7 @@ func init() {
 			{Key: "moves", Kind: scenario.ParamInt, Lo: 8, Hi: 128},
 		},
 		Run: func(c *scenario.Context, a scenario.Args) (scenario.Report, error) {
-			n := RelieveCongestion(c.Cong, c.Im, forScenario(c), a.Int("moves", 32), c.Interrupted)
+			n := RelieveCongestion(c.Cong, New(c.NL, c.Eng, c.Im), a.Int("moves", 32), c.Interrupted)
 			c.Logf("status %3d: congestion relocation moved %d", c.Status, n)
 			return scenario.Report{Changed: n}, c.Interrupted()
 		},

@@ -14,7 +14,10 @@ import (
 // netlist: the rollback replays reverse edits through the observer API,
 // so the Steiner cache and congestion analyzer carry no phantom state.
 func TestRollbackThenEditsAnalyzerConsistency(t *testing.T) {
-	p := gen.Des(1, 0.02)
+	p, err := gen.Des(1, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Seed = 11
 	d := gen.Generate(cell.Default(), p)
 	c := scenario.NewContext(d, 11)

@@ -200,30 +200,20 @@ func (c *Context) SetWorkers(n int) {
 
 // Close detaches the analyzers from the netlist.
 func (c *Context) Close() {
-	c.closeScratch()
 	c.Eng.Close()
 	c.Calc.Close()
 	c.Cong.Close()
 	c.St.Close()
 }
 
-// closeScratch releases per-run actors that hold external registrations
-// (netlist observer subscriptions, …) before the Scratch map is dropped,
-// so actors from a finished run stop hearing edits.
-func (c *Context) closeScratch() {
-	for _, v := range c.Scratch {
-		if cl, ok := v.(interface{ Close() }); ok {
-			cl.Close()
-		}
-	}
-}
-
 // AnalyzerStats exposes the incremental engines' dirty-set counters: how
 // much stale work each analyzer is currently carrying and how often the
 // congestion engine could stay on the cheap withdraw/re-deposit path.
 type AnalyzerStats struct {
-	// SteinerDirty / CongestionDirty are the current dirty-set sizes — the
-	// cost, in nets, of the next aggregate query.
+	// SteinerDirty is the number of live nets whose Steiner tree is
+	// stale: the trees the next Total builds. CongestionDirty is the
+	// congestion analyzer's dirty-set size, the nets its next pass
+	// re-rasterizes.
 	SteinerDirty    int
 	CongestionDirty int
 	// SteinerRebuilds counts Steiner tree constructions since the cache

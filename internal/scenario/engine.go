@@ -60,7 +60,6 @@ func RunContext(ctx context.Context, c *Context, s *Script) (Metrics, error) {
 	if err := CheckObjective(params["objective"]); err != nil {
 		return Metrics{}, fmt.Errorf("scenario: %w", err)
 	}
-	c.closeScratch()
 	c.Scratch = map[string]any{}
 	c.Status, c.PrevStatus = 0, 0
 	c.ScenarioName = s.Name

@@ -75,7 +75,10 @@ var errTest = testErr{}
 
 func rig(t *testing.T, seed int64) *scenario.Context {
 	t.Helper()
-	p := gen.Des(1, 0.02)
+	p, err := gen.Des(1, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Seed = seed
 	d := gen.Generate(cell.Default(), p)
 	c := scenario.NewContext(d, seed)

@@ -82,8 +82,9 @@ type Event struct {
 	Slack *float64 `json:"slack,omitempty"`
 	TNS   *float64 `json:"tns,omitempty"`
 	Wire  *float64 `json:"wire,omitempty"`
-	// SteinerDirty/CongestionDirty are analyzer dirty-set sizes at status
-	// events — the incremental engines' pending work.
+	// SteinerDirty (live nets with a stale Steiner tree) and
+	// CongestionDirty (the congestion analyzer's dirty set) are the
+	// analyzers' pending work at status events.
 	SteinerDirty    int `json:"steiner_dirty,omitempty"`
 	CongestionDirty int `json:"congestion_dirty,omitempty"`
 	// Accepted / rejected protected-step outcome (step_end of protected

@@ -114,7 +114,10 @@ init {
 
 func tpnText(t testing.TB, seed int64) string {
 	t.Helper()
-	p := gen.Des(1, 0.02)
+	p, err := gen.Des(1, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.Seed = seed
 	gd := gen.Generate(cell.Default(), p)
 	var buf bytes.Buffer

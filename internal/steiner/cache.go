@@ -11,13 +11,10 @@ import (
 // re-calculated when gate positions change as well as when new cells are
 // created or old ones deleted").
 //
-// Beyond the per-net tree memo, the cache maintains per-net length leaves
-// under a fixed-topology pairwise summation tree, so the aggregate query
-// (Total) costs O(dirty·log n) after the first call instead of re-summing
-// every net. The summation topology is a function of the leaf capacity
-// alone, which makes the incremental total bit-identical to a from-scratch
-// rebuild: recomputing only the tree nodes on dirty leaf paths reproduces
-// exactly the additions a full bottom-up rebuild would perform.
+// The aggregate query (Total) is computed when asked: it builds the stale
+// trees and adds the live nets' lengths pairwise in a shape fixed by the
+// net capacity alone, so its result does not depend on the worker count
+// or on the order of the edits that came before it.
 //
 // The cache itself is not safe for concurrent use; parallelism lives in
 // PrepareAll/PrepareNets, which batch-build invalid trees with a bounded
@@ -47,21 +44,6 @@ type Cache struct {
 	// staleScratch backs the stale-net collection in the Prepare paths.
 	staleScratch []*netlist.Net
 
-	// Summation-tree state. leafCap is a power of two ≥ NetCap; lenSum
-	// holds 2·leafCap nodes in implicit heap layout (root at 1, leaf for
-	// net id at leafCap+id). Padding leaves are zero, which is exact under
-	// float64 addition, so capacity growth cannot perturb sums.
-	leafCap  int
-	lenSum   []float64
-	dirty    []int  // net IDs whose leaves need refreshing (deduplicated)
-	isDirty  []bool // by net ID
-	allDirty bool   // InvalidateAll: rebuild everything on next flush
-	primed   bool   // summation tree has been built at least once
-
-	// scratch for ancestor recomputation (level-ordered frontier).
-	frontier, nextFrontier []int
-	nodeMark               []bool
-
 	// Workers bounds the fan-out used when batch-building stale trees for
 	// the aggregate queries. 0 or 1 keeps every build on the calling
 	// goroutine.
@@ -74,7 +56,7 @@ type Cache struct {
 
 // NewCache creates a cache and subscribes it to the netlist.
 func NewCache(nl *netlist.Netlist) *Cache {
-	c := &Cache{nl: nl, allDirty: true}
+	c := &Cache{nl: nl}
 	nl.Observe(c)
 	return c
 }
@@ -136,30 +118,18 @@ func (c *Cache) grow(id int) {
 	for len(c.shared) <= id {
 		c.shared = append(c.shared, false)
 	}
-	for len(c.isDirty) <= id {
-		c.isDirty = append(c.isDirty, false)
-	}
 }
 
-// markDirty queues net id for a leaf refresh on the next aggregate query.
-func (c *Cache) markDirty(id int) {
-	if c.allDirty {
-		return // a full rebuild is already pending
-	}
-	c.grow(id)
-	if !c.isDirty[id] {
-		c.isDirty[id] = true
-		c.dirty = append(c.dirty, id)
-	}
-}
-
-// DirtyNets returns the number of nets whose aggregate contribution is
-// stale: the cost of the next Total call in nets.
+// DirtyNets returns the number of live nets whose tree is stale: the
+// trees the next Total or PrepareAll builds.
 func (c *Cache) DirtyNets() int {
-	if c.allDirty {
-		return c.nl.NumNets()
-	}
-	return len(c.dirty)
+	n := 0
+	c.nl.Nets(func(net *netlist.Net) {
+		if net.ID >= len(c.tvalid) || !c.tvalid[net.ID] {
+			n++
+		}
+	})
+	return n
 }
 
 // PrepareAll builds every invalid tree of a live net, fanning the
@@ -185,7 +155,8 @@ func (c *Cache) PrepareAll(workers int) int {
 // PrepareNets builds the invalid trees among the given nets (which must be
 // live), with the same bounded fan-out and determinism as PrepareAll but
 // without scanning the whole netlist — O(len(nets)) instead of O(N). The
-// incremental congestion analyzer uses it to refresh only its dirty set.
+// incremental congestion analyzer uses it to refresh only the nets edited
+// since its last pass.
 func (c *Cache) PrepareNets(workers int, nets []*netlist.Net) int {
 	if len(nets) == 0 {
 		return 0
@@ -267,136 +238,36 @@ func (c *Cache) Tree(n *netlist.Net) *Tree {
 func (c *Cache) Length(n *netlist.Net) float64 { return c.Tree(n).Length }
 
 // Total returns the total Steiner wire length of the live nets. Stale
-// trees are batch-built in parallel (Workers); the reduction is the
-// fixed-topology summation tree, read at its root after an O(dirty)
-// refresh, so the result is bit-identical for any worker count and for
-// any interleaving of edits and queries.
+// trees are batch-built in parallel (Workers); the lengths, indexed by net
+// ID with 0 at dead IDs, are then added pairwise in place, in a shape
+// fixed by NetCap alone, so the result is bit-identical for any worker
+// count and for any interleaving of edits and queries.
 func (c *Cache) Total() float64 {
-	c.flushTotals()
-	if c.leafCap == 0 {
+	c.PrepareAll(c.Workers)
+	n := c.nl.NetCap()
+	if n == 0 {
 		return 0
 	}
-	return c.lenSum[1]
-}
-
-// flushTotals brings the summation tree up to date: builds missing
-// Steiner trees for dirty nets (parallel), refreshes their leaves, and
-// recomputes exactly the ancestor nodes on dirty paths. When the leaf
-// capacity must grow or everything is dirty it falls back to a full
-// bottom-up rebuild — which performs the identical additions, keeping the
-// two regimes bit-identical.
-func (c *Cache) flushTotals() {
-	want := nextPow2(c.nl.NetCap())
-	if c.allDirty || !c.primed || want != c.leafCap {
-		c.rebuildTotals(want)
-		return
-	}
-	if len(c.dirty) == 0 {
-		return
-	}
-	// Build the missing trees of dirty live nets in one parallel batch.
-	stale := c.staleScratch[:0]
-	for _, id := range c.dirty {
-		if n := c.nl.NetByID(id); n != nil && !c.tvalid[id] {
-			stale = append(stale, n)
+	a := make([]float64, n)
+	c.nl.Nets(func(net *netlist.Net) { a[net.ID] = c.trees[net.ID].Length })
+	for w := 1; w < n; w *= 2 {
+		for i := 0; i+w < n; i += 2 * w {
+			a[i] += a[i+w]
 		}
 	}
-	c.staleScratch = stale
-	c.buildBatch(c.Workers, stale)
-
-	// Refresh dirty leaves. Dead (removed or never-connected) nets hold 0.
-	c.frontier = c.frontier[:0]
-	for _, id := range c.dirty {
-		c.isDirty[id] = false
-		var L float64
-		if c.nl.NetByID(id) != nil {
-			L = c.trees[id].Length
-		}
-		leaf := c.leafCap + id
-		c.lenSum[leaf] = L
-		p := leaf >> 1
-		if !c.nodeMark[p] {
-			c.nodeMark[p] = true
-			c.frontier = append(c.frontier, p)
-		}
-	}
-	c.dirty = c.dirty[:0]
-
-	// Recompute ancestors level by level: every node in the frontier sits
-	// at the same depth (leaves all share one depth since leafCap is a
-	// power of two), so children are always final before their parent is
-	// re-added from them.
-	for len(c.frontier) > 0 {
-		c.nextFrontier = c.nextFrontier[:0]
-		for _, v := range c.frontier {
-			c.nodeMark[v] = false
-			c.lenSum[v] = c.lenSum[2*v] + c.lenSum[2*v+1]
-			if v > 1 {
-				p := v >> 1
-				if !c.nodeMark[p] {
-					c.nodeMark[p] = true
-					c.nextFrontier = append(c.nextFrontier, p)
-				}
-			}
-		}
-		c.frontier, c.nextFrontier = c.nextFrontier, c.frontier
-	}
-}
-
-// rebuildTotals reconstructs the summation tree from scratch at the given
-// leaf capacity.
-func (c *Cache) rebuildTotals(leafCap int) {
-	c.PrepareAll(c.Workers)
-	c.leafCap = leafCap
-	if len(c.lenSum) != 2*leafCap {
-		c.lenSum = make([]float64, 2*leafCap)
-		c.nodeMark = make([]bool, leafCap)
-	} else {
-		clear(c.lenSum)
-	}
-	c.nl.Nets(func(n *netlist.Net) {
-		c.lenSum[leafCap+n.ID] = c.trees[n.ID].Length
-	})
-	for i := leafCap - 1; i >= 1; i-- {
-		c.lenSum[i] = c.lenSum[2*i] + c.lenSum[2*i+1]
-	}
-	for _, id := range c.dirty {
-		c.isDirty[id] = false
-	}
-	c.dirty = c.dirty[:0]
-	c.allDirty = false
-	c.primed = true
-}
-
-// nextPow2 returns the smallest power of two ≥ n (and ≥ 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
+	return a[0]
 }
 
 // InvalidateAll drops every cached tree; the next aggregate query rebuilds
-// them (batched in parallel when Workers > 1) along with the summation
-// tree.
+// them, batched in parallel when Workers > 1.
 func (c *Cache) InvalidateAll() {
-	for i := range c.tvalid {
-		c.tvalid[i] = false
-	}
-	for _, id := range c.dirty {
-		c.isDirty[id] = false
-	}
-	c.dirty = c.dirty[:0]
-	c.allDirty = true
+	clear(c.tvalid)
 }
 
-// Invalidate drops the cached tree of net n and queues its aggregate
-// contribution for refresh.
+// Invalidate drops the cached tree of net n.
 func (c *Cache) Invalidate(n *netlist.Net) {
 	c.grow(n.ID)
 	c.tvalid[n.ID] = false
-	c.markDirty(n.ID)
 }
 
 // GateMoved implements netlist.Observer.

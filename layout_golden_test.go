@@ -64,10 +64,14 @@ func TestMetricsBitIdenticalAfterLayoutRefactor(t *testing.T) {
 			timingRecomputes: 2150513,
 		},
 	}
+	p, err := Table1Params(1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, flow := range []string{"TPS", "SPR"} {
 		want := goldens[flow]
 		for _, w := range []int{1, 2, 8} {
-			d := NewDesign(Table1Params(1, 0.05))
+			d := NewDesign(p)
 			d.SetWorkers(w)
 			var m Metrics
 			var err error

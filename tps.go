@@ -79,8 +79,9 @@ func DefaultSPROptions() SPROptions { return core.DefaultSPROptions() }
 func DefaultLibrary() *Library { return cell.Default() }
 
 // Table1Params returns the generator configuration for the paper's design
-// Des<i> (1–5), scaled by scale (1.0 ≈ paper-sized cell counts).
-func Table1Params(i int, scale float64) DesignParams { return gen.Des(i, scale) }
+// Des<i> (1–5), scaled by scale (1.0 ≈ paper-sized cell counts), or an
+// error for any other i.
+func Table1Params(i int, scale float64) (DesignParams, error) { return gen.Des(i, scale) }
 
 // CycleImprovementPct computes Table 1's "% cycle time impr." between an
 // SPR metrics record and a TPS one.

@@ -94,9 +94,19 @@ func TestRunFlowsReturnErrors(t *testing.T) {
 
 func TestTable1ParamsExposed(t *testing.T) {
 	for i := 1; i <= 5; i++ {
-		p := Table1Params(i, 0.05)
-		if p.NumGates <= 0 || p.Name == "" {
-			t.Fatalf("Des%d params %+v", i, p)
+		p, err := Table1Params(i, 0.05)
+		if err != nil || p.NumGates <= 0 || p.Name == "" {
+			t.Fatalf("Des%d params %+v, err %v", i, p, err)
+		}
+	}
+}
+
+// TestTable1ParamsRejectsUnknownDesign: an index outside 1–5 is caller
+// input, so it must come back as an error, not a panic.
+func TestTable1ParamsRejectsUnknownDesign(t *testing.T) {
+	for _, i := range []int{0, 6, -1} {
+		if _, err := Table1Params(i, 0.05); err == nil {
+			t.Errorf("Table1Params(%d) returned no error", i)
 		}
 	}
 }
