@@ -211,8 +211,8 @@ func run() error {
 		fmt.Printf("     protected steps: %d accepted, %d rejected\n", ctx.Accepts, ctx.Rejects)
 	}
 	st := d.Stats()
-	fmt.Printf("     analyzers: steiner rebuilds=%d, congestion passes full=%d incremental=%d, timing recomputes=%d\n",
-		st.SteinerRebuilds, st.CongestionFullPasses, st.CongestionIncrementalPasses, st.TimingRecomputes)
+	fmt.Printf("     analyzers: steiner rebuilds=%d, congestion passes=%d, timing recomputes=%d\n",
+		st.SteinerRebuilds, st.CongestionFullPasses, st.TimingRecomputes)
 	if st.FM.Pops > 0 {
 		fmt.Printf("     fm: pushes=%d pops=%d stale=%.1f%% updates=%d compactions=%d\n",
 			st.FM.Pushes, st.FM.Pops, 100*float64(st.FM.StalePops)/float64(st.FM.Pops),

@@ -2,6 +2,7 @@ package congestion
 
 import (
 	"testing"
+	"time"
 
 	"tps/internal/cell"
 	"tps/internal/gen"
@@ -10,13 +11,13 @@ import (
 	"tps/internal/steiner"
 )
 
-// analyzerFixture builds a scattered mid-sized design with a refined bin
-// grid, an incremental Analyzer over it, and a function producing the
-// reference full-pass report on a fresh image of matching geometry.
-func analyzerFixture(t *testing.T, seed int64) (*netlist.Netlist, *image.Image, *Analyzer, func() (Report, *image.Image)) {
+// analyzerFixture builds a scattered design of the given size with a
+// refined bin grid, an Analyzer over it, and a function producing the
+// reference serial-pass report on a fresh image of matching geometry.
+func analyzerFixture(t *testing.T, seed int64, gates int) (*netlist.Netlist, *image.Image, *Analyzer, func() (Report, *image.Image)) {
 	t.Helper()
 	d := gen.Generate(cell.Default(), gen.Params{
-		NumGates: 400, Levels: 8, RegFraction: 0.15, Seed: seed,
+		NumGates: gates, Levels: 8, RegFraction: 0.15, Seed: seed,
 	})
 	nl := d.NL
 	i := 0
@@ -32,18 +33,17 @@ func analyzerFixture(t *testing.T, seed int64) (*netlist.Netlist, *image.Image, 
 	st := steiner.NewCache(nl)
 	t.Cleanup(st.Close)
 	a := NewAnalyzer(nl, st, im)
-	t.Cleanup(a.Close)
 
-	refFull := func() (Report, *image.Image) {
+	serialPass := func() (Report, *image.Image) {
 		refIm := image.New(d.ChipW, d.ChipH, nl.Lib.Tech.RowHeight, 0.72)
 		for refIm.Level < im.Level {
 			refIm.Subdivide()
 		}
 		refSt := steiner.NewCache(nl)
 		defer refSt.Close()
-		return AnalyzeN(nl, refSt, refIm, 1), refIm
+		return Analyze(nl, refSt, refIm), refIm
 	}
-	return nl, im, a, refFull
+	return nl, im, a, serialPass
 }
 
 func sameGrids(t *testing.T, ctx string, got, ref *image.Image) {
@@ -59,23 +59,13 @@ func sameGrids(t *testing.T, ctx string, got, ref *image.Image) {
 	}
 }
 
-// TestAnalyzerIncrementalMatchesFull moves a handful of gates between
-// analyses and requires the withdraw/re-deposit pass to reproduce the full
-// rasterization bit for bit — report and every bin — while actually taking
-// the incremental path.
-func TestAnalyzerIncrementalMatchesFull(t *testing.T) {
-	nl, im, a, refFull := analyzerFixture(t, 3)
+// TestAnalyzerMatchesSerialPass moves a handful of gates between passes
+// of a 4-wide analyzer, and refines the grid once, and requires every
+// pass to reproduce a serial pass on a fresh image bit for bit: report
+// and every bin.
+func TestAnalyzerMatchesSerialPass(t *testing.T) {
+	nl, im, a, serialPass := analyzerFixture(t, 3, 400)
 	a.Workers = 4
-
-	first := a.Analyze()
-	if a.FullPasses != 1 || a.IncrementalPasses != 0 {
-		t.Fatalf("first pass should be full: full=%d incr=%d", a.FullPasses, a.IncrementalPasses)
-	}
-	refRep, refIm := refFull()
-	if first != refRep {
-		t.Fatalf("priming report %+v != reference %+v", first, refRep)
-	}
-	sameGrids(t, "primed", im, refIm)
 
 	var moved []*netlist.Gate
 	nl.Gates(func(g *netlist.Gate) {
@@ -83,97 +73,79 @@ func TestAnalyzerIncrementalMatchesFull(t *testing.T) {
 			moved = append(moved, g)
 		}
 	})
-	for round := 0; round < 4; round++ {
+	for round := 0; round < 5; round++ {
+		if round == 3 {
+			im.Subdivide()
+		}
+		got := a.Analyze()
+		ref, refIm := serialPass()
+		if got != ref {
+			t.Fatalf("round %d: report %+v != serial %+v", round, got, ref)
+		}
+		sameGrids(t, "round", im, refIm)
 		for k, g := range moved {
 			nl.MoveGate(g, float64((round*211+k*67)%1000), float64((round*173+k*41)%1000))
 		}
-		if a.DirtyNets() == 0 {
-			t.Fatalf("round %d: moves marked no nets dirty", round)
-		}
-		got := a.Analyze()
-		refRep, refIm := refFull()
-		if got != refRep {
-			t.Fatalf("round %d: incremental report %+v != full %+v", round, got, refRep)
-		}
-		sameGrids(t, "round", im, refIm)
 	}
-	if a.IncrementalPasses == 0 {
-		t.Errorf("expected incremental passes, got full=%d incr=%d", a.FullPasses, a.IncrementalPasses)
+	if a.Passes != 5 {
+		t.Errorf("Passes = %d after 5 calls", a.Passes)
 	}
 }
 
-// TestAnalyzerFallsBackToFull checks the three full-pass triggers: grid
-// refinement (geometry change), InvalidateAll, and a dirty fraction above
-// FullThreshold — and that the fallback results still match the reference.
-func TestAnalyzerFallsBackToFull(t *testing.T) {
-	nl, im, a, refFull := analyzerFixture(t, 4)
-	a.Analyze()
-
-	im.Subdivide()
-	fullBefore := a.FullPasses
-	got := a.Analyze()
-	if a.FullPasses != fullBefore+1 {
-		t.Errorf("Subdivide did not force a full pass (full=%d)", a.FullPasses)
-	}
-	refRep, refIm := refFull()
-	if got != refRep {
-		t.Fatalf("post-subdivide report %+v != reference %+v", got, refRep)
-	}
-	sameGrids(t, "subdivide", im, refIm)
-
-	a.InvalidateAll()
-	fullBefore = a.FullPasses
-	if got, want := a.Analyze(), refRep; got != want {
-		t.Fatalf("post-InvalidateAll report %+v != %+v", got, want)
-	}
-	if a.FullPasses != fullBefore+1 {
-		t.Errorf("InvalidateAll did not force a full pass")
-	}
-
-	// Dirty the majority of nets: fraction above FullThreshold ⇒ full.
-	nl.Gates(func(g *netlist.Gate) {
-		if !g.Fixed {
-			nl.MoveGate(g, g.X+1, g.Y)
+// TestAnalyzerPassAllocs requires a repeated pass to reuse its shard
+// grids and net scratch: its allocations (the worker pool's own) must
+// not grow with the net count.
+func TestAnalyzerPassAllocs(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		var allocs [2]float64
+		for k, gates := range []int{200, 800} {
+			_, _, a, _ := analyzerFixture(t, 5, gates)
+			a.Workers = workers
+			a.Analyze()
+			allocs[k] = testing.AllocsPerRun(20, func() { a.Analyze() })
 		}
-	})
-	fullBefore = a.FullPasses
-	got = a.Analyze()
-	if a.FullPasses != fullBefore+1 {
-		t.Errorf("large dirty fraction did not force a full pass")
+		if allocs[1] > allocs[0] || allocs[1] > 2*float64(workers) {
+			t.Errorf("workers=%d: a repeated pass allocates %v objects at 200 gates, %v at 800",
+				workers, allocs[0], allocs[1])
+		}
 	}
-	refRep, refIm = refFull()
-	if got != refRep {
-		t.Fatalf("post-bulk-move report %+v != reference %+v", got, refRep)
-	}
-	sameGrids(t, "bulk", im, refIm)
 }
 
-// TestAnalyzerScratchReuse verifies the analyzer reuses its grids and
-// deposit records across passes rather than reallocating: a second
-// incremental pass over the same dirty set must not grow the deposit
-// backing arrays.
-func TestAnalyzerScratchReuse(t *testing.T) {
-	nl, _, a, _ := analyzerFixture(t, 5)
-	a.Analyze()
-	var g0 *netlist.Gate
-	nl.Gates(func(g *netlist.Gate) {
-		if g0 == nil && !g.Fixed {
-			g0 = g
+// TestFarPinRasterizesLikeEdgePin places one pin of each of two nets
+// 1e15 µm off a 400×400 µm chip, one to the right and one above. The
+// pass must finish, and every bin must equal the bins of the same nets
+// with those pins just past the chip's edge: boundaries outside the
+// grid cost nothing.
+func TestFarPinRasterizesLikeEdgePin(t *testing.T) {
+	bins := func(far float64) *image.Image {
+		nl := netlist.New("t", cell.Default())
+		im := image.New(400, 400, 6, 0.7)
+		for im.NX < 4 {
+			im.Subdivide()
 		}
-	})
-	nl.MoveGate(g0, g0.X+3, g0.Y)
-	a.Analyze()
-	caps := make(map[int]int)
-	for id, dep := range a.deposits {
-		caps[id] = cap(dep)
-	}
-	for round := 0; round < 3; round++ {
-		nl.MoveGate(g0, g0.X+1, g0.Y)
-		a.Analyze()
-	}
-	for id, dep := range a.deposits {
-		if c0, ok := caps[id]; ok && cap(dep) > c0 {
-			t.Errorf("net %d deposit buffer grew %d → %d across same-shape passes", id, c0, cap(dep))
+		pair := func(x0, y0, x1, y1 float64) {
+			g0 := nl.AddGate("a", nl.Lib.Cell("INV"))
+			g1 := nl.AddGate("b", nl.Lib.Cell("INV"))
+			n := nl.AddNet("n")
+			nl.Connect(g0.Output(), n)
+			nl.Connect(g1.Pin("A"), n)
+			nl.MoveGate(g0, x0, y0)
+			nl.MoveGate(g1, x1, y1)
 		}
+		pair(50, 50, far, 350)
+		pair(150, 50, 250, far)
+		st := steiner.NewCache(nl)
+		done := make(chan struct{})
+		go func() {
+			Analyze(nl, st, im)
+			close(done)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("pass with a pin at %g did not finish in 10 s", far)
+		}
+		return im
 	}
+	sameGrids(t, "far pin", bins(1e15), bins(401))
 }

@@ -9,14 +9,12 @@
 // Rasterization fans out over the worker pool with per-chunk shard grids:
 // each worker deposits crossings into its own copy of the grid, and the
 // shards are merged in chunk order afterwards. Crossing counts are integer
-// increments (exact in float64) and per-net lengths land in ID-indexed
-// slots summed serially, so the report is bit-identical for any worker
-// count.
+// increments (exact in float64) and per-net lengths are summed serially
+// in live-net order, so the report is bit-identical for any worker count.
 //
-// The stateful Analyzer in analyzer.go adds the incremental regime: it
-// remembers every net's deposited footprint and, on re-analysis, withdraws
-// and re-deposits only the nets that changed — with a report bit-identical
-// to the full pass in both regimes.
+// Every pass rasterizes every live net. What stays incremental is the
+// Steiner cache underneath: a pass rebuilds only the trees the edits
+// since the last pass made stale.
 package congestion
 
 import (
@@ -24,7 +22,6 @@ import (
 
 	"tps/internal/image"
 	"tps/internal/netlist"
-	"tps/internal/par"
 	"tps/internal/steiner"
 )
 
@@ -50,49 +47,9 @@ func Analyze(nl *netlist.Netlist, st *steiner.Cache, im *image.Image) Report {
 // workers goroutines. The report and the bins' WireUsed fields are
 // bit-identical to the serial pass.
 func AnalyzeN(nl *netlist.Netlist, st *steiner.Cache, im *image.Image, workers int) Report {
-	// Trees for stale nets build concurrently up front; afterwards the
-	// cache is read-only for the rasterization workers.
-	st.PrepareAll(workers)
-
-	var nets []*netlist.Net
-	nl.Nets(func(n *netlist.Net) { nets = append(nets, n) })
-
-	cells := im.NX * im.NY
-	perNet := make([]float64, len(nets))
-	nc := par.NumChunks(workers, len(nets))
-	shardH := make([][]float64, nc)
-	shardV := make([][]float64, nc)
-	par.For(workers, len(nets), func(chunk, lo, hi int) {
-		h := make([]float64, cells)
-		v := make([]float64, cells)
-		shardH[chunk], shardV[chunk] = h, v
-		for k := lo; k < hi; k++ {
-			perNet[k] = rasterizeNet(im, h, v, st.Tree(nets[k]), nil)
-		}
-	})
-
-	// Merge shards into the image in chunk order. Crossing counts are
-	// whole numbers, so float64 addition is exact regardless of grouping.
-	for j := 0; j < im.NY; j++ {
-		for i := 0; i < im.NX; i++ {
-			b := im.At(i, j)
-			b.WireUsedH = 0
-			b.WireUsedV = 0
-			idx := j*im.NX + i
-			for s := 0; s < nc; s++ {
-				if shardH[s] != nil {
-					b.WireUsedH += shardH[s][idx]
-					b.WireUsedV += shardV[s][idx]
-				}
-			}
-		}
-	}
-
-	var total float64
-	for _, L := range perNet {
-		total += L
-	}
-	return summarize(im, total)
+	a := NewAnalyzer(nl, st, im)
+	a.Workers = workers
+	return a.Analyze()
 }
 
 // summarize computes the cut-line summary from the image's WireUsed state.
@@ -138,14 +95,12 @@ func summarize(im *image.Image, totalWireUm float64) Report {
 }
 
 // rasterizeNet deposits every edge of tree t into the h/v crossing grids
-// and returns the rasterized length. When rec is non-nil, each deposit is
-// also appended to *rec as an encoded cell index (h: idx, v: idx+cells) so
-// the incremental analyzer can later withdraw the footprint exactly.
-func rasterizeNet(im *image.Image, h, v []float64, t *steiner.Tree, rec *[]int32) float64 {
+// and returns the rasterized length.
+func rasterizeNet(im *image.Image, h, v []float64, t *steiner.Tree) float64 {
 	var sum float64
 	for _, e := range t.Edges {
 		p, q := t.Nodes[e.U], t.Nodes[e.V]
-		sum += rasterizeL(im, h, v, p, q, rec)
+		sum += rasterizeL(im, h, v, p, q)
 	}
 	return sum
 }
@@ -153,65 +108,65 @@ func rasterizeNet(im *image.Image, h, v []float64, t *steiner.Tree, rec *[]int32
 // rasterizeL deposits the canonical L-shape (horizontal at p.Y, then
 // vertical at q.X) of edge p→q into the h/v crossing grids and returns its
 // length.
-func rasterizeL(im *image.Image, h, v []float64, p, q steiner.Point, rec *[]int32) float64 {
+func rasterizeL(im *image.Image, h, v []float64, p, q steiner.Point) float64 {
 	length := math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 	// Horizontal run at y = p.Y from p.X to q.X.
-	depositH(im, h, p.Y, p.X, q.X, rec)
+	depositH(im, h, p.Y, p.X, q.X)
 	// Vertical run at x = q.X from p.Y to q.Y.
-	depositV(im, v, q.X, p.Y, q.Y, rec)
+	depositV(im, v, q.X, p.Y, q.Y)
 	return length
+}
+
+// boundaries returns the range of bin boundaries k·size, k in [1, n−1],
+// that can lie strictly inside (a, b) under the 1e-9 rule. The range is
+// clamped in float64 before converting, so a run to a far-off pin costs
+// no more than one across the grid; ok is false when it is empty.
+func boundaries(a, b, size float64, n int) (lo, hi int, ok bool) {
+	l := max(math.Ceil(a/size-1e-9), 1)
+	h := min(math.Floor(b/size+1e-9), float64(n-1))
+	if !(l <= h) {
+		return 0, 0, false
+	}
+	return int(l), int(h), true
 }
 
 // depositH adds one horizontal wire crossing for every vertical bin
 // boundary strictly inside (xa, xb) at height y.
-func depositH(im *image.Image, grid []float64, y, xa, xb float64, rec *[]int32) {
+func depositH(im *image.Image, grid []float64, y, xa, xb float64) {
 	if xa > xb {
 		xa, xb = xb, xa
 	}
 	bw := im.BinW()
 	_, j := im.Loc((xa+xb)/2, y)
-	iStart := int(math.Ceil(xa/bw - 1e-9))
-	iEnd := int(math.Floor(xb/bw + 1e-9))
-	for i := iStart; i <= iEnd; i++ {
+	lo, hi, ok := boundaries(xa, xb, bw, im.NX)
+	if !ok {
+		return
+	}
+	for i := lo; i <= hi; i++ {
 		// Boundary between column i−1 and i.
-		c := i - 1
-		if c < 0 || c >= im.NX-1 {
-			continue
-		}
 		if bnd := float64(i) * bw; bnd <= xa+1e-9 || bnd >= xb-1e-9 {
 			continue
 		}
-		idx := j*im.NX + c
-		grid[idx]++
-		if rec != nil {
-			*rec = append(*rec, int32(idx))
-		}
+		grid[j*im.NX+i-1]++
 	}
 }
 
 // depositV adds one vertical wire crossing for every horizontal bin
 // boundary strictly inside (ya, yb) at x.
-func depositV(im *image.Image, grid []float64, x, ya, yb float64, rec *[]int32) {
+func depositV(im *image.Image, grid []float64, x, ya, yb float64) {
 	if ya > yb {
 		ya, yb = yb, ya
 	}
 	bh := im.BinH()
 	i, _ := im.Loc(x, (ya+yb)/2)
-	jStart := int(math.Ceil(ya/bh - 1e-9))
-	jEnd := int(math.Floor(yb/bh + 1e-9))
-	cells := int32(im.NX * im.NY)
-	for j := jStart; j <= jEnd; j++ {
-		c := j - 1
-		if c < 0 || c >= im.NY-1 {
-			continue
-		}
+	lo, hi, ok := boundaries(ya, yb, bh, im.NY)
+	if !ok {
+		return
+	}
+	for j := lo; j <= hi; j++ {
 		if bnd := float64(j) * bh; bnd <= ya+1e-9 || bnd >= yb-1e-9 {
 			continue
 		}
-		idx := c*im.NX + i
-		grid[idx]++
-		if rec != nil {
-			*rec = append(*rec, int32(idx)+cells)
-		}
+		grid[(j-1)*im.NX+i]++
 	}
 }

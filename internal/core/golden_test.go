@@ -120,7 +120,9 @@ func congestionFirstGolden(t *testing.T, workers int) (scenario.Metrics, scenari
 
 // TestGoldenCongestionFirst pins congestion_first.tps to constants
 // captured at commit d803b86, at every worker count. It is the only
-// golden over decongest, relieve and wire-judged protected steps.
+// golden over decongest, relieve and wire-judged protected steps. The
+// congestion pass count is the captured full plus incremental passes,
+// since every pass is now a full one.
 func TestGoldenCongestionFirst(t *testing.T) {
 	wantM := scenario.Metrics{Flow: "cong1", ICells: 924, AreaUm2: 30950.40000000029,
 		WorstSlack: -257.9385513041807, TNS: -20209.59960408305, CycleAchieved: 852.6265513041807,
@@ -128,7 +130,7 @@ func TestGoldenCongestionFirst(t *testing.T) {
 		SteinerWireUm: 80219.18134669636, RoutedWireUm: 108276.96702279025, RouteOverflows: 184,
 		Iterations: 1}
 	wantS := scenario.AnalyzerStats{SteinerRebuilds: 7243,
-		CongestionFullPasses: 5, CongestionIncrementalPasses: 36, TimingRecomputes: 802839,
+		CongestionFullPasses: 41, TimingRecomputes: 802839,
 		FM: partition.Stats{Pushes: 205921, Pops: 120998, StalePops: 32426, GainUpdates: 168276, Compactions: 585}}
 	wantAR := [2]int{2, 7}
 	for _, workers := range []int{1, 2, 8} {

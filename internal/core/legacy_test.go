@@ -131,12 +131,11 @@ func runTPSLegacy(c *scenario.Context, opt TPSOptions) scenario.Metrics {
 		stopSynth()
 		placer.SyncImage()
 
-		dirtyNets := c.Cong.DirtyNets()
 		stopCong := c.Track("congestion")
 		crep := c.Cong.Analyze()
 		stopCong()
-		c.Logf("status %3d: congestion Horiz %.0f/%.0f Vert %.0f/%.0f (%d dirty nets)",
-			status, crep.HorizPeak, crep.HorizAvg, crep.VertPeak, crep.VertAvg, dirtyNets)
+		c.Logf("status %3d: congestion Horiz %.0f/%.0f Vert %.0f/%.0f",
+			status, crep.HorizPeak, crep.HorizAvg, crep.VertPeak, crep.VertAvg)
 	}
 
 	placer.SpreadWithinBins()

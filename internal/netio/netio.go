@@ -74,7 +74,8 @@ func Write(w io.Writer, d *gen.Design) error {
 	return bw.Flush()
 }
 
-// Read parses a .tpn stream into a design over lib.
+// Read parses a .tpn stream into a design over lib. The design frame is
+// required: a period line and a chip line, with finite, positive values.
 func Read(r io.Reader, lib *cell.Library) (*gen.Design, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -101,7 +102,7 @@ func Read(r io.Reader, lib *cell.Library) (*gen.Design, error) {
 			if err != nil {
 				return nil, err
 			}
-			if math.IsNaN(v) || v < 0 {
+			if !(v > 0) || math.IsInf(v, 1) {
 				return nil, fmt.Errorf("netio: line %d: period %g is not a valid constraint", lineNo, v)
 			}
 			d.Period = v
@@ -114,7 +115,7 @@ func Read(r io.Reader, lib *cell.Library) (*gen.Design, error) {
 			if err != nil {
 				return nil, err
 			}
-			if math.IsNaN(w) || math.IsNaN(h) || w < 0 || h < 0 {
+			if !(w > 0) || !(h > 0) || math.IsInf(w, 1) || math.IsInf(h, 1) {
 				return nil, fmt.Errorf("netio: line %d: chip dimensions %g×%g invalid", lineNo, w, h)
 			}
 			d.ChipW, d.ChipH = w, h
@@ -153,6 +154,14 @@ func Read(r io.Reader, lib *cell.Library) (*gen.Design, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	// The line checks above keep both values finite and positive, so a
+	// zero means the line is missing.
+	if d.Period == 0 {
+		return nil, fmt.Errorf("netio: no period line")
+	}
+	if d.ChipW == 0 {
+		return nil, fmt.Errorf("netio: no chip line")
 	}
 	if err := d.NL.Check(); err != nil {
 		return nil, fmt.Errorf("netio: inconsistent netlist: %w", err)

@@ -2,7 +2,7 @@
 // transform: gates (instances of library masters), nets, and pins, plus the
 // edit operations the transforms use (move, resize, reconnect, clone,
 // insert/remove). Every mutation is reported to registered observers so
-// that incremental analyzers (timing, Steiner cache, congestion) confine
+// that incremental analyzers (timing, delay, Steiner cache) confine
 // recalculation to the affected region — the coupling the paper builds its
 // whole methodology on.
 package netlist

@@ -1,6 +1,11 @@
 package relocate
 
-import "tps/internal/congestion"
+import (
+	"cmp"
+	"slices"
+
+	"tps/internal/congestion"
+)
 
 // RelieveCongestion is the congestion-elimination transform sketched in §1: "a
 // transform to eliminate wire congestion can do this … by moving cells".
@@ -33,12 +38,12 @@ func RelieveCongestion(cong *congestion.Analyzer, rel *Relocator, maxMoves int, 
 		}
 	}
 	// Worst congestion first (deterministic: overflow then index).
-	for i := 1; i < len(hots); i++ {
-		for k := i; k > 0 && (hots[k].overflow > hots[k-1].overflow ||
-			(hots[k].overflow == hots[k-1].overflow && hots[k].flat < hots[k-1].flat)); k-- {
-			hots[k], hots[k-1] = hots[k-1], hots[k]
+	slices.SortFunc(hots, func(a, b hot) int {
+		if c := cmp.Compare(b.overflow, a.overflow); c != 0 {
+			return c
 		}
-	}
+		return a.flat - b.flat
+	})
 
 	moved := 0
 	for _, h := range hots {

@@ -1,7 +1,6 @@
 package relocate
 
 import (
-	"slices"
 	"testing"
 
 	"tps/internal/cell"
@@ -97,46 +96,4 @@ func TestRelieveBoundedByMaxMoves(t *testing.T) {
 	if moved := RelieveCongestion(congestion.NewAnalyzer(nl, st, im), rel, 3, nil); moved > 8 {
 		t.Errorf("maxMoves ignored: %d cells moved", moved)
 	}
-}
-
-// TestRelieveLeavesAnalyzerFresh runs the relief on a congestion analyzer
-// and requires the analyzer's next, incremental report and bin wiring to
-// equal a fresh serial congestion.Analyze of the moved design: an
-// analyzer that missed the relocator's moves would still report the
-// wiring from before them.
-func TestRelieveLeavesAnalyzerFresh(t *testing.T) {
-	nl, st, im, rel := hotspotRig(t)
-	cong := congestion.NewAnalyzer(nl, st, im)
-	defer cong.Close()
-	cong.FullThreshold = 1 // keep every re-analysis on the incremental path
-	if moved := RelieveCongestion(cong, rel, 0, nil); moved == 0 {
-		t.Fatal("no cells moved")
-	}
-	passes := cong.IncrementalPasses
-	got := cong.Analyze()
-	if cong.IncrementalPasses != passes+1 {
-		t.Fatal("re-analysis after the relief was not incremental")
-	}
-	gotH, gotV := wireUsed(im)
-	want := congestion.Analyze(nl, st, im)
-	wantH, wantV := wireUsed(im)
-	if got != want {
-		t.Errorf("analyzer report %+v, fresh Analyze %+v", got, want)
-	}
-	if !slices.Equal(gotH, wantH) || !slices.Equal(gotV, wantV) {
-		t.Error("analyzer bin wiring differs from a fresh Analyze")
-	}
-}
-
-// wireUsed returns the bins' horizontal and vertical wiring demand in
-// row-major order.
-func wireUsed(im *image.Image) (h, v []float64) {
-	for j := 0; j < im.NY; j++ {
-		for i := 0; i < im.NX; i++ {
-			b := im.At(i, j)
-			h = append(h, b.WireUsedH)
-			v = append(v, b.WireUsedV)
-		}
-	}
-	return h, v
 }

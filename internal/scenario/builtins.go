@@ -76,16 +76,15 @@ func init() {
 		},
 	})
 	Register(Transform{
-		Name: "congest", Doc: "re-measure congestion (incremental over dirty nets)",
+		Name: "congest", Doc: "re-measure congestion",
 		Window: "every step",
 		Run: func(c *Context, a Args) (Report, error) {
-			dirty := c.Cong.DirtyNets()
 			stop := c.track("congestion")
 			rep := c.Cong.Analyze()
 			stop()
-			c.Logf("status %3d: congestion Horiz %.0f/%.0f Vert %.0f/%.0f (%d dirty nets)",
-				c.Status, rep.HorizPeak, rep.HorizAvg, rep.VertPeak, rep.VertAvg, dirty)
-			return Report{Changed: dirty,
+			c.Logf("status %3d: congestion Horiz %.0f/%.0f Vert %.0f/%.0f",
+				c.Status, rep.HorizPeak, rep.HorizAvg, rep.VertPeak, rep.VertAvg)
+			return Report{
 				Detail: fmt.Sprintf("H %.0f/%.0f V %.0f/%.0f", rep.HorizPeak, rep.HorizAvg, rep.VertPeak, rep.VertAvg)}, nil
 		},
 	})

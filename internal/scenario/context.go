@@ -47,10 +47,10 @@ type Context struct {
 	St   *steiner.Cache
 	Calc *delay.Calculator
 	Eng  *timing.Engine
-	// Cong is the stateful congestion analyzer: it keeps every net's
-	// rasterized footprint and re-deposits only the dirty nets on each
-	// Analyze, so the scenario loop can re-measure congestion at every
-	// status for O(dirty) instead of constructing fresh full passes.
+	// Cong is the congestion analyzer: each Analyze rasterizes every live
+	// net from the Steiner cache's trees, reusing its shard grids, so the
+	// scenario loop re-measures congestion at every status at the cost of
+	// the stale trees plus one rasterization.
 	Cong *congestion.Analyzer
 
 	// Workers is the analyzer fan-out width. The evaluation layer is
@@ -202,25 +202,22 @@ func (c *Context) SetWorkers(n int) {
 func (c *Context) Close() {
 	c.Eng.Close()
 	c.Calc.Close()
-	c.Cong.Close()
 	c.St.Close()
 }
 
-// AnalyzerStats exposes the incremental engines' dirty-set counters: how
-// much stale work each analyzer is currently carrying and how often the
-// congestion engine could stay on the cheap withdraw/re-deposit path.
+// AnalyzerStats exposes the analyzers' effort counters: how much stale
+// work the Steiner cache is carrying, how many trees it built, how many
+// congestion passes and timing recomputations ran, and the FM traffic.
 type AnalyzerStats struct {
 	// SteinerDirty is the number of live nets whose Steiner tree is
-	// stale: the trees the next Total builds. CongestionDirty is the
-	// congestion analyzer's dirty-set size, the nets its next pass
-	// re-rasterizes.
-	SteinerDirty    int
-	CongestionDirty int
+	// stale: the trees the next Total builds.
+	SteinerDirty int
 	// SteinerRebuilds counts Steiner tree constructions since the cache
 	// was created.
 	SteinerRebuilds int
-	// CongestionFullPasses / CongestionIncrementalPasses count the regime
-	// each congestion analysis ran in.
+	// CongestionFullPasses counts congestion passes; every pass is full.
+	// CongestionIncrementalPasses is always 0; it remains because
+	// perfbench still reads it.
 	CongestionFullPasses        int
 	CongestionIncrementalPasses int
 	// TimingRecomputes counts incremental timing node recomputations.
@@ -231,16 +228,14 @@ type AnalyzerStats struct {
 	FM partition.Stats
 }
 
-// AnalyzerStats returns the current incremental-analyzer counters.
+// AnalyzerStats returns the current analyzer counters.
 func (c *Context) AnalyzerStats() AnalyzerStats {
 	return AnalyzerStats{
-		SteinerDirty:                c.St.DirtyNets(),
-		CongestionDirty:             c.Cong.DirtyNets(),
-		SteinerRebuilds:             c.St.Rebuilds,
-		CongestionFullPasses:        c.Cong.FullPasses,
-		CongestionIncrementalPasses: c.Cong.IncrementalPasses,
-		TimingRecomputes:            c.Eng.Recomputes,
-		FM:                          c.FM,
+		SteinerDirty:         c.St.DirtyNets(),
+		SteinerRebuilds:      c.St.Rebuilds,
+		CongestionFullPasses: c.Cong.Passes,
+		TimingRecomputes:     c.Eng.Recomputes,
+		FM:                   c.FM,
 	}
 }
 

@@ -123,7 +123,7 @@ func (c *Context) runBlock(b *Block) error {
 			c.emit(Event{
 				Type: EvStatus, Block: b.Label,
 				Status: c.Status, PrevStatus: c.PrevStatus,
-				SteinerDirty: c.St.DirtyNets(), CongestionDirty: c.Cong.DirtyNets(),
+				SteinerDirty: c.St.DirtyNets(),
 			})
 			for _, st := range b.Steps {
 				if err := c.execStep(b, st); err != nil {
@@ -147,7 +147,7 @@ func (c *Context) runBlock(b *Block) error {
 			c.emit(Event{
 				Type: EvStatus, Block: b.Label, Status: c.Status, Iter: it,
 				Slack:        fptr(ws),
-				SteinerDirty: c.St.DirtyNets(), CongestionDirty: c.Cong.DirtyNets(),
+				SteinerDirty: c.St.DirtyNets(),
 			})
 			c.Logf("%s iter %d: slack %.0f", b.Label, it, ws)
 			if ws <= prev+b.Stall {

@@ -82,11 +82,9 @@ type Event struct {
 	Slack *float64 `json:"slack,omitempty"`
 	TNS   *float64 `json:"tns,omitempty"`
 	Wire  *float64 `json:"wire,omitempty"`
-	// SteinerDirty (live nets with a stale Steiner tree) and
-	// CongestionDirty (the congestion analyzer's dirty set) are the
+	// SteinerDirty (live nets with a stale Steiner tree) is the
 	// analyzers' pending work at status events.
-	SteinerDirty    int `json:"steiner_dirty,omitempty"`
-	CongestionDirty int `json:"congestion_dirty,omitempty"`
+	SteinerDirty int `json:"steiner_dirty,omitempty"`
 	// Accepted / rejected protected-step outcome (step_end of protected
 	// steps, reject events) and the rejection reason
 	// ("error" | "timeout" | "regression" | "canceled").

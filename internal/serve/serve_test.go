@@ -352,15 +352,17 @@ func (r repeatReader) Read(p []byte) (int, error) {
 }
 
 // An upload over the 64 MiB body limit is answered 413 and stores
-// nothing. The body is comment lines, so every line-boundary prefix of
-// it is a valid .tpn that a truncating server would store.
+// nothing. The body is a design frame and then comment lines, so every
+// line-boundary prefix past the frame is a valid .tpn that a truncating
+// server would store.
 func TestOversizeUploadRejected(t *testing.T) {
 	_, hs := newServer(t, serve.Config{})
 	base := hs.URL
 	const limit = 64 << 20
 
 	resp, err := http.Post(base+"/designs?name=big", "text/plain",
-		io.LimitReader(repeatReader(strings.Repeat("#\n", 2048)), limit+1))
+		io.LimitReader(io.MultiReader(strings.NewReader("period 1000\nchip 100 100\n"),
+			repeatReader(strings.Repeat("#\n", 2048))), limit+1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +381,39 @@ func TestOversizeUploadRejected(t *testing.T) {
 	dr.Body.Close()
 	if len(designs) != 0 {
 		t.Fatalf("oversize upload stored %+v", designs)
+	}
+}
+
+// An upload without a chip line is answered 400 and stores nothing: a
+// job on it could not build its bin image.
+func TestChiplessUploadRejected(t *testing.T) {
+	_, hs := newServer(t, serve.Config{})
+	base := hs.URL
+	var chipless []string
+	for _, l := range strings.Split(tpnText(t, 3), "\n") {
+		if !strings.HasPrefix(l, "chip ") {
+			chipless = append(chipless, l)
+		}
+	}
+	resp, err := http.Post(base+"/designs?name=nochip", "text/plain", strings.NewReader(strings.Join(chipless, "\n")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("chip-less upload: %s, want 400", resp.Status)
+	}
+	dr, err := http.Get(base + "/designs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dr.Body.Close()
+	var designs []serve.DesignInfo
+	if err := json.NewDecoder(dr.Body).Decode(&designs); err != nil {
+		t.Fatal(err)
+	}
+	if len(designs) != 0 {
+		t.Fatalf("chip-less upload stored %+v", designs)
 	}
 }
 

@@ -17,10 +17,10 @@ import (
 // or on the order of the edits that came before it.
 //
 // The cache itself is not safe for concurrent use; parallelism lives in
-// PrepareAll/PrepareNets, which batch-build invalid trees with a bounded
-// worker pool and then leave the cache in a fully valid,
-// read-only-queryable state. Tree construction is a pure function of the
-// net's pin locations, so the batch result is identical to lazy serial
+// PrepareAll, which batch-builds invalid trees with a bounded worker
+// pool and then leaves the cache in a fully valid, read-only-queryable
+// state. Tree construction is a pure function of the net's pin
+// locations, so the batch result is identical to lazy serial
 // construction — and a cache may start from trees built elsewhere (Seed),
 // which any number of caches then share read-only.
 type Cache struct {
@@ -41,7 +41,7 @@ type Cache struct {
 	// ptScratch is the per-chunk pin-point gather buffer, parallel to
 	// builders.
 	ptScratch [][]Point
-	// staleScratch backs the stale-net collection in the Prepare paths.
+	// staleScratch backs PrepareAll's stale-net collection.
 	staleScratch []*netlist.Net
 
 	// Workers bounds the fan-out used when batch-building stale trees for
@@ -147,27 +147,6 @@ func (c *Cache) PrepareAll(workers int) int {
 			stale = append(stale, n)
 		}
 	})
-	c.staleScratch = stale
-	c.buildBatch(workers, stale)
-	return len(stale)
-}
-
-// PrepareNets builds the invalid trees among the given nets (which must be
-// live), with the same bounded fan-out and determinism as PrepareAll but
-// without scanning the whole netlist — O(len(nets)) instead of O(N). The
-// incremental congestion analyzer uses it to refresh only the nets edited
-// since its last pass.
-func (c *Cache) PrepareNets(workers int, nets []*netlist.Net) int {
-	if len(nets) == 0 {
-		return 0
-	}
-	c.grow(c.nl.NetCap() - 1)
-	stale := c.staleScratch[:0]
-	for _, n := range nets {
-		if !c.tvalid[n.ID] {
-			stale = append(stale, n)
-		}
-	}
 	c.staleScratch = stale
 	c.buildBatch(workers, stale)
 	return len(stale)

@@ -22,7 +22,6 @@ package tps
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -62,8 +61,9 @@ type Histogram = route.Histogram
 // CongestionReport is the cut-line congestion summary.
 type CongestionReport = congestion.Report
 
-// AnalyzerStats carries the incremental analyzers' dirty-set counters and
-// the FM partitioner's gain-structure traffic.
+// AnalyzerStats carries the analyzers' effort counters (stale Steiner
+// trees, tree rebuilds, congestion passes, timing recomputes) and the FM
+// partitioner's gain-structure traffic.
 type AnalyzerStats = scenario.AnalyzerStats
 
 // Library is the standard-cell library type.
@@ -218,12 +218,6 @@ func Load(r io.Reader) (*Design, error) {
 	if err != nil {
 		return nil, err
 	}
-	if gd.Period <= 0 {
-		return nil, fmt.Errorf("tps: netlist has no period constraint")
-	}
-	if gd.ChipW <= 0 || gd.ChipH <= 0 {
-		return nil, fmt.Errorf("tps: netlist has no chip dimensions")
-	}
 	return &Design{ctx: scenario.NewContext(gd, 1), gd: gd}, nil
 }
 
@@ -316,18 +310,17 @@ func (d *Design) Evaluate() Metrics { return d.ctx.Evaluate("current") }
 // WorstSlack returns the current worst slack in ps.
 func (d *Design) WorstSlack() float64 { return d.ctx.Eng.WorstSlack() }
 
-// WireLength returns the current total Steiner wire length in µm. After
-// the first call the cost is proportional to the number of nets touched
-// since the previous call (delta evaluation).
+// WireLength returns the current total Steiner wire length in µm. Only
+// the trees of nets touched since the previous call are rebuilt; the
+// total then adds every live net's length.
 func (d *Design) WireLength() float64 { return d.ctx.St.Total() }
 
-// Congestion re-analyzes wiring demand through the design's stateful
-// congestion analyzer: only nets dirtied since the last analysis are
-// re-rasterized, and the report is bit-identical to a full pass.
+// Congestion re-analyzes wiring demand: it rebuilds the trees of nets
+// touched since the last analysis and rasterizes every live net.
 func (d *Design) Congestion() CongestionReport { return d.ctx.Cong.Analyze() }
 
-// Stats returns the incremental analyzers' dirty-set and pass counters
-// plus the placement partitioner's FM gain-structure counters.
+// Stats returns the analyzers' effort counters plus the placement
+// partitioner's FM gain-structure counters.
 func (d *Design) Stats() AnalyzerStats { return d.ctx.AnalyzerStats() }
 
 // PhaseTimes returns the per-transform wall clock accumulated by the last
