@@ -80,6 +80,11 @@ type netTiming struct {
 // Calculator computes gate arc delays and net wire delays under the
 // current Mode. Under Actual it memoizes per-net Elmore/RC solutions and
 // invalidates them through netlist observation, keeping queries incremental.
+// A calculator on a fork of a netio.State may start from solutions that
+// another calculator computed on an identical fork (Share, Install); it
+// reads those shared slots and never writes them: re-solving one after
+// an edit writes a private solution, as steiner.Cache does with its
+// seeded trees.
 type Calculator struct {
 	Mode Mode
 	Tech cell.Tech
@@ -97,9 +102,12 @@ type Calculator struct {
 	nl *netlist.Netlist
 	// nets memoizes per-net solutions by net ID; a slot is meaningful only
 	// while its valid flag is set. Invalidation clears the flag and keeps
-	// the netTiming object so the next solve reuses its sinkDelay storage.
-	nets  []*netTiming
-	valid []bool
+	// the netTiming object so the next solve reuses its sinkDelay storage —
+	// unless the slot is shared (installed by Install), which the next
+	// solve replaces with a private object.
+	nets   []*netTiming
+	valid  []bool
+	shared []bool
 
 	// scratch holds per-chunk solver state for Prepare (chunk k uses
 	// scratch[k]; par chunking is deterministic) plus slot 0 for the lazy
@@ -109,7 +117,15 @@ type Calculator struct {
 	staleScratch []*netlist.Net
 
 	// Solves counts RC solutions performed (incrementality metric).
+	// Installed solutions are not solves.
 	Solves int
+}
+
+// Solutions is a frozen set of Actual-mode net solutions, indexed by net
+// ID (nil where a net has none), taken by Share and installed by any
+// number of calculators at once. Nothing writes it after Share.
+type Solutions struct {
+	nets []*netTiming
 }
 
 // solveScratch is the per-worker working set of solve: node capacitances,
@@ -254,6 +270,38 @@ func (c *Calculator) grow(id int) {
 	for len(c.valid) <= id {
 		c.valid = append(c.valid, false)
 	}
+	for len(c.shared) <= id {
+		c.shared = append(c.shared, false)
+	}
+}
+
+// Share returns the calculator's valid solutions for Install elsewhere.
+// They become shared slots of the calculator too, so it never writes
+// them again either.
+func (c *Calculator) Share() *Solutions {
+	s := &Solutions{nets: make([]*netTiming, len(c.nets))}
+	for id, nt := range c.nets {
+		if c.valid[id] {
+			s.nets[id], c.shared[id] = nt, true
+		}
+	}
+	return s
+}
+
+// Install makes every solution of s that the calculator lacks a valid,
+// shared slot. It is for a calculator in the mode, and with the BinDim,
+// that s was solved under, on a netlist whose nets have exactly the
+// pins, in pin order, place and size, that s was solved on — a fork of
+// the same netio.State before its first edit: a solution is a pure
+// function of those, so an installed slot holds what a solve would.
+// Installing is not solving: Solves does not count it.
+func (c *Calculator) Install(s *Solutions) {
+	c.grow(len(s.nets) - 1)
+	for id, nt := range s.nets {
+		if nt != nil && !c.valid[id] {
+			c.nets[id], c.valid[id], c.shared[id] = nt, true, true
+		}
+	}
 }
 
 // Prepare batch-solves every stale net under the Actual model, fanning out
@@ -308,15 +356,19 @@ func (c *Calculator) net(n *netlist.Net) *netTiming {
 // solveInto runs the moment computation on the net's Steiner topology,
 // writing the result into the net's (possibly recycled) cache slot using
 // the given scratch. Safe to call concurrently for disjoint nets with
-// distinct scratch; it only writes c.nets[n.ID]/c.valid[n.ID], which grow
-// pre-sized before any fan-out.
+// distinct scratch; it only writes c.nets/c.valid/c.shared at n.ID, which
+// grow pre-sized before any fan-out.
 func (c *Calculator) solveInto(n *netlist.Net, s *solveScratch) *netTiming {
 	pins := n.Pins()
 	nt := c.nets[n.ID]
-	if nt == nil {
+	switch {
+	case nt == nil:
 		nt = &netTiming{}
-		c.nets[n.ID] = nt
+	case c.shared[n.ID]:
+		// Never write a shared solution; its size suits the new one.
+		nt = &netTiming{sinkDelay: make([]float64, 0, cap(nt.sinkDelay))}
 	}
+	c.nets[n.ID], c.shared[n.ID] = nt, false
 	if cap(nt.sinkDelay) < len(pins) {
 		nt.sinkDelay = make([]float64, len(pins))
 	}

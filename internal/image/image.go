@@ -49,21 +49,31 @@ type Image struct {
 	Utilization float64
 }
 
+// MaxGridLevel is the finest refinement level a design frame may need:
+// a 4096×4096 bin grid. Generated designs of 200k gates need level 8.
+const MaxGridLevel = 12
+
+// LevelFor returns the MaxLevel of a chip h µm high: the level at which
+// bin height first drops to at most 2 rows of rowHeight (4·rowHeight),
+// and at least 1. Halving is exact in floating point, so each step
+// compares h/2^level exactly, without forming 2^level as an integer.
+// h must be finite.
+func LevelFor(h, rowHeight float64) int {
+	level := 0
+	for b := h; b > 2*rowHeight*2; b /= 2 {
+		level++
+	}
+	return max(level, 1)
+}
+
 // New creates a level-0 image (one bin) for a chip of w×h µm with the given
 // target utilization (e.g. 0.7). rowHeight determines MaxLevel: refinement
-// stops when bin height ≈ 2 rows.
+// stops when bin height ≈ 2 rows (LevelFor).
 func New(w, h, rowHeight, utilization float64) *Image {
-	if w <= 0 || h <= 0 {
+	if !(w > 0) || !(h > 0) || math.IsInf(w, 1) || math.IsInf(h, 1) {
 		panic(fmt.Sprintf("image: bad chip size %g×%g", w, h))
 	}
-	maxLevel := 0
-	for (h / float64(int(1)<<maxLevel)) > 2*rowHeight*2 {
-		maxLevel++
-	}
-	if maxLevel < 1 {
-		maxLevel = 1
-	}
-	im := &Image{W: w, H: h, MaxLevel: maxLevel, Utilization: utilization}
+	im := &Image{W: w, H: h, MaxLevel: LevelFor(h, rowHeight), Utilization: utilization}
 	im.reset(1, 1)
 	im.Level = 0
 	return im
@@ -100,21 +110,21 @@ func (im *Image) Index(ix, iy int) int { return iy*im.NX + ix }
 
 // Loc maps a chip coordinate to grid coordinates, clamped to the grid.
 func (im *Image) Loc(x, y float64) (ix, iy int) {
-	ix = int(x / im.BinW())
-	iy = int(y / im.BinH())
-	if ix < 0 {
-		ix = 0
+	return clampBin(x/im.BinW(), im.NX), clampBin(y/im.BinH(), im.NY)
+}
+
+// clampBin truncates a coordinate in bin units to a bin index in
+// [0, n−1]. It clamps in float64 before converting, since converting a
+// quotient past the int range (a pin far off the chip) is undefined;
+// for every in-range quotient this is the truncation itself.
+func clampBin(f float64, n int) int {
+	switch {
+	case !(f >= 0):
+		return 0
+	case f >= float64(n-1):
+		return n - 1
 	}
-	if ix >= im.NX {
-		ix = im.NX - 1
-	}
-	if iy < 0 {
-		iy = 0
-	}
-	if iy >= im.NY {
-		iy = im.NY - 1
-	}
-	return ix, iy
+	return int(f)
 }
 
 // BinAt returns the bin containing chip coordinate (x, y).
@@ -214,11 +224,13 @@ func (im *Image) ClearUsage() {
 }
 
 // SnapshotUsage copies the per-bin area/wire usage triplets (AreaUsed,
-// WireUsedH, WireUsedV). Together with the current level it lets the
-// scenario engine's checkpoint layer restore the image bit-exactly after
-// a rejected transform (which may have deposited speculative gate area).
-func (im *Image) SnapshotUsage() []float64 {
-	s := make([]float64, 0, 3*len(im.bins))
+// WireUsedH, WireUsedV) into dst's storage, growing it only when it is
+// too small, and returns the copy. Together with the current level it
+// lets the scenario engine's checkpoint layer restore the image
+// bit-exactly after a rejected transform (which may have deposited
+// speculative gate area).
+func (im *Image) SnapshotUsage(dst []float64) []float64 {
+	s := dst[:0]
 	for i := range im.bins {
 		s = append(s, im.bins[i].AreaUsed, im.bins[i].WireUsedH, im.bins[i].WireUsedV)
 	}

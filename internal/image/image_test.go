@@ -161,3 +161,53 @@ func TestFree(t *testing.T) {
 		t.Errorf("free = %g", b.Free())
 	}
 }
+
+// TestLocFarCoordinates: coordinates far off the chip clamp to the edge
+// bin on their own side, where the quotient overflows int, and every
+// in-range bin agrees with truncating the quotient and clamping it.
+func TestLocFarCoordinates(t *testing.T) {
+	im := New(400, 400, 6, 0.7)
+	im.Subdivide()
+	im.Subdivide() // 4×4 bins of 100 µm
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{{1e300, 3}, {1e19, 3}, {1e15, 3}, {401, 3}, {-1e300, 0}, {-1e19, 0}, {-0.5, 0}, {math.NaN(), 0}} {
+		if ix, iy := im.Loc(c.v, c.v); ix != c.want || iy != c.want {
+			t.Errorf("Loc(%g, %g) = (%d, %d), want (%d, %d)", c.v, c.v, ix, iy, c.want, c.want)
+		}
+	}
+	old := func(v, bin float64, n int) int {
+		i := int(v / bin)
+		return min(max(i, 0), n-1)
+	}
+	for x := -150.0; x <= 550; x += 0.25 {
+		ix, iy := im.Loc(x, x/2)
+		if ix != old(x, im.BinW(), im.NX) || iy != old(x/2, im.BinH(), im.NY) {
+			t.Fatalf("Loc(%g, %g) = (%d, %d), want the truncated quotient", x, x/2, ix, iy)
+		}
+	}
+}
+
+// TestLevelFor: the refinement depth halves the chip height until bins
+// are at most two 6 µm rows high, as New always computed it, and a chip
+// of any finite height gets a finite, bounded level.
+func TestLevelFor(t *testing.T) {
+	for _, c := range []struct {
+		h    float64
+		want int
+	}{{10, 1}, {24, 1}, {48, 1}, {48.1, 2}, {600, 5}, {98304, 12}, {98305, 13}, {1e5, 13}, {1e308, 1019}} {
+		if got := LevelFor(c.h, 6); got != c.want {
+			t.Errorf("LevelFor(%g) = %d, want %d", c.h, got, c.want)
+		}
+	}
+	for h := 1.0; h < 1e6; h *= 1.37 {
+		old := 0
+		for (h / float64(int(1)<<old)) > 2*6.0*2 {
+			old++
+		}
+		if got := New(h, h, 6, 0.7).MaxLevel; got != max(old, 1) {
+			t.Fatalf("chip %g: MaxLevel %d, want %d", h, got, max(old, 1))
+		}
+	}
+}

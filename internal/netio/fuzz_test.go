@@ -7,16 +7,18 @@ import (
 	"testing"
 
 	"tps/internal/cell"
+	"tps/internal/image"
 	"tps/internal/netlist"
 )
 
 // FuzzRead asserts the parser's contract: for arbitrary input it either
 // returns an error or a structurally consistent design — never a design
 // that fails later (NaN/negative coordinates, duplicate names, broken
-// back-references). Accepted designs must survive a Write→Read round
-// trip, and a State fork of the design must equal that round trip in
-// full state, with Steiner trees seeded from the State equal to a fresh
-// build (checkForkTrees).
+// back-references, a frame past the bin-grid bound). Accepted designs
+// must survive a Write→Read round trip, and a State fork of the design
+// must equal that round trip in full state, with Steiner trees seeded
+// from the State equal to a fresh build (checkForkTrees) and a timing
+// pass installed from the State equal to a fork's own (checkForkTiming).
 func FuzzRead(f *testing.F) {
 	f.Add("design d\nperiod 1000\nchip 100 100\nnet n1\ngate g1 INV size=X1 at 5 5 A=n1\n")
 	f.Add("# comment\nperiod 1000\nchip 100 100\nnet clk clock\nnet s scan\n")
@@ -38,7 +40,8 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("accepted inconsistent netlist: %v\ninput: %q", err, in)
 		}
 		if !(d.Period > 0) || !(d.ChipW > 0) || !(d.ChipH > 0) ||
-			math.IsInf(d.Period, 1) || math.IsInf(d.ChipW, 1) || math.IsInf(d.ChipH, 1) {
+			math.IsInf(d.Period, 1) || math.IsInf(d.ChipW, 1) || math.IsInf(d.ChipH, 1) ||
+			image.LevelFor(d.ChipH, lib.Tech.RowHeight) > image.MaxGridLevel {
 			t.Fatalf("accepted invalid frame period=%g chip=%g×%g\ninput: %q", d.Period, d.ChipW, d.ChipH, in)
 		}
 		gateNames := map[string]bool{}
@@ -84,6 +87,7 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("fork differs from Read(Write(d)):\n%s\ninput: %q", firstDiff(got, want), in)
 		}
 		checkForkTrees(t, CaptureDesign(d))
+		checkForkTiming(t, CaptureDesign(d))
 	})
 }
 
@@ -104,6 +108,8 @@ func TestReadRejectsInvalidInputs(t *testing.T) {
 		{"nan-chip", hdr + "chip NaN 10\n"},
 		{"neg-chip", hdr + "chip 10 -10\n"},
 		{"inf-chip", "period 1000\nchip inf inf\n"},
+		{"huge-chip", "period 1000\nchip 1e308 1e308\n"},
+		{"huge-chip-1e5", "period 1000\nchip 100 1e5\n"},
 		{"zero-chip", "period 1000\nchip 0 10\n"},
 		{"no-chip", "period 1000\nnet n\n"},
 		{"no-period", "chip 100 100\nnet n\n"},

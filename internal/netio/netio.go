@@ -24,6 +24,7 @@ import (
 
 	"tps/internal/cell"
 	"tps/internal/gen"
+	"tps/internal/image"
 	"tps/internal/netlist"
 )
 
@@ -75,7 +76,9 @@ func Write(w io.Writer, d *gen.Design) error {
 }
 
 // Read parses a .tpn stream into a design over lib. The design frame is
-// required: a period line and a chip line, with finite, positive values.
+// required: a period line and a chip line, with finite, positive values,
+// and a chip no higher than a bin grid of image.MaxGridLevel levels
+// covers.
 func Read(r io.Reader, lib *cell.Library) (*gen.Design, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -117,6 +120,10 @@ func Read(r io.Reader, lib *cell.Library) (*gen.Design, error) {
 			}
 			if !(w > 0) || !(h > 0) || math.IsInf(w, 1) || math.IsInf(h, 1) {
 				return nil, fmt.Errorf("netio: line %d: chip dimensions %g×%g invalid", lineNo, w, h)
+			}
+			if l := image.LevelFor(h, lib.Tech.RowHeight); l > image.MaxGridLevel {
+				return nil, fmt.Errorf("netio: line %d: chip %g×%g needs %d bin-grid levels, over the limit of %d (a %d×%d grid)",
+					lineNo, w, h, l, image.MaxGridLevel, 1<<image.MaxGridLevel, 1<<image.MaxGridLevel)
 			}
 			d.ChipW, d.ChipH = w, h
 		case "net":

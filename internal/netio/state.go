@@ -17,13 +17,19 @@ import (
 // positions, flags, pin→net bindings, net weights, liveness tombstones),
 // the gate and net names, and — from CaptureDesign — the design frame.
 // It is keyed by ID and read-only after capture, apart from the atomic
-// Forks counter and the forks' Steiner trees, the one part written
-// lazily: Trees builds them once, on first use, and they are read-only
-// from then on. Restore rewinds the *same* netlist in place, so
-// analyzers stay subscribed and hear every reverse edit; the scenario
-// engine does this when a protected step is rejected. Fork builds a
-// fresh, independent design; races, autotune and the tpsd design store
-// fork every run from one State, any number of goroutines at once.
+// Forks counter and the data derived from it for its forks, the one
+// part written lazily: Trees and Derived build each value once, on first
+// use, and the value is read-only from then on. Restore rewinds the *same*
+// netlist in place, so analyzers stay subscribed and hear every reverse
+// edit; the scenario engine does this when a protected step is rejected,
+// from one State per context that Recapture overwrites at every
+// protected step. Fork builds a fresh, independent design; races,
+// autotune and the tpsd design store fork every run from one State, any
+// number of goroutines at once.
+//
+// The pin→net bindings of every gate live in one flat slab, so a
+// capture costs a handful of allocations however large the design, and
+// a Recapture into a State that already fits the design costs none.
 type State struct {
 	name   string
 	lib    *cell.Library
@@ -32,10 +38,13 @@ type State struct {
 	chipH  float64
 	gates  []gateState
 	nets   []netState
-	forks  atomic.Int64
+	// pins holds every live gate's pin→net bindings, gate after gate in
+	// ID order: net IDs, -1 for an unattached pin (see pinNets).
+	pins  []int32
+	forks atomic.Int64
 
-	treesOnce sync.Once
-	trees     []*steiner.Tree
+	derivedMu sync.Mutex
+	derived   map[any]*derivedValue
 }
 
 type gateState struct {
@@ -48,7 +57,7 @@ type gateState struct {
 	x, y      float64
 	placed    bool
 	fixed     bool
-	pinNets   []int // pin index (gate-local) → net ID, -1 = unattached
+	pinOff    int32 // the gate's first binding in State.pins
 }
 
 type netState struct {
@@ -59,32 +68,68 @@ type netState struct {
 	kind       netlist.NetKind
 }
 
+// derivedValue is one Derived entry: built once, then read-only.
+type derivedValue struct {
+	once sync.Once
+	val  any
+}
+
+// pinNets returns gs's pin bindings, indexed by gate-local pin: one per
+// port of its master (ReplaceCell keeps the port count).
+func (s *State) pinNets(gs *gateState) []int32 {
+	return s.pins[gs.pinOff : int(gs.pinOff)+len(gs.cell.Ports)]
+}
+
 // Capture snapshots the full mutable state of nl.
 func Capture(nl *netlist.Netlist) *State {
-	s := &State{
-		name:  nl.Name,
-		lib:   nl.Lib,
-		gates: make([]gateState, nl.GateCap()),
-		nets:  make([]netState, nl.NetCap()),
+	s := &State{}
+	s.Recapture(nl)
+	return s
+}
+
+// Recapture overwrites s with a snapshot of nl, leaving it as Capture(nl)
+// would return it (no frame, no forks, nothing derived), in s's own
+// storage: once s has held a design at least as large, it allocates
+// nothing. No other goroutine may use s meanwhile, and no fork of s may
+// still read its derived data.
+func (s *State) Recapture(nl *netlist.Netlist) {
+	s.name, s.lib = nl.Name, nl.Lib
+	s.period, s.chipW, s.chipH = 0, 0, 0
+	s.forks.Store(0)
+	s.derived = nil
+	s.gates = resize(s.gates, nl.GateCap())
+	s.nets = resize(s.nets, nl.NetCap())
+	if cap(s.pins) < nl.NumPins() {
+		s.pins = make([]int32, 0, nl.NumPins())
 	}
+	s.pins = s.pins[:0]
 	nl.Gates(func(g *netlist.Gate) {
-		gs := gateState{
+		s.gates[g.ID] = gateState{
 			live: true, name: g.Name, cell: g.Cell, sizeIdx: g.SizeIdx, gain: g.Gain,
 			areaScale: g.AreaScale, x: g.X, y: g.Y, placed: g.Placed,
-			fixed: g.Fixed, pinNets: make([]int, len(g.Pins)),
+			fixed: g.Fixed, pinOff: int32(len(s.pins)),
 		}
-		for i, p := range g.Pins {
+		for _, p := range g.Pins {
+			n := int32(-1)
 			if p.Net != nil {
-				gs.pinNets[i] = p.Net.ID
-			} else {
-				gs.pinNets[i] = -1
+				n = int32(p.Net.ID)
 			}
+			s.pins = append(s.pins, n)
 		}
-		s.gates[g.ID] = gs
 	})
 	nl.Nets(func(n *netlist.Net) {
 		s.nets[n.ID] = netState{live: true, name: n.Name, weight: n.Weight, baseWeight: n.BaseWeight, kind: n.Kind}
 	})
+}
+
+// resize returns s cleared to n zero elements, in s's storage when it
+// fits.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
 	return s
 }
 
@@ -124,8 +169,37 @@ func (s *State) Fork() *gen.Design {
 // what lets every fork's cache start from them (steiner.Cache.Seed).
 // Callers must not modify them.
 func (s *State) Trees() []*steiner.Tree {
-	s.treesOnce.Do(func() { s.trees = steiner.BuildAll(s.fork().NL, par.Workers()) })
-	return s.trees
+	return s.Derived(treesKey{}, func(d *gen.Design) any {
+		return steiner.BuildAll(d.NL, par.Workers())
+	}).([]*steiner.Tree)
+}
+
+// treesKey is the Derived key of Trees.
+type treesKey struct{}
+
+// Derived returns the value build computes from a fork of the State. The
+// first call for key, from any goroutine, runs build on a private fork
+// that Forks does not count; every call for that key returns its
+// result, and calls racing the first wait for it. This is how packages
+// above netio share what they derive from a snapshot with every fork of
+// it, as Trees shares the Steiner trees (scenario.ForkContext keeps each
+// delay mode's first timing pass here). Since every fork is laid out
+// identically, the value describes any fork before its first edit. It
+// must be read-only from then on. build may call Trees, or Derived with
+// another key.
+func (s *State) Derived(key any, build func(*gen.Design) any) any {
+	s.derivedMu.Lock()
+	v := s.derived[key]
+	if v == nil {
+		if s.derived == nil {
+			s.derived = map[any]*derivedValue{}
+		}
+		v = &derivedValue{}
+		s.derived[key] = v
+	}
+	s.derivedMu.Unlock()
+	v.once.Do(func() { v.val = build(s.fork()) })
+	return v.val
 }
 
 // fork is Fork without the count.
@@ -148,7 +222,7 @@ func (s *State) fork() *gen.Design {
 		if gs.sizeIdx < 0 {
 			g.Gain = gs.gain
 		}
-		for i, n := range gs.pinNets {
+		for i, n := range s.pinNets(gs) {
 			if n >= 0 {
 				nl.Connect(g.Pins[i], nets[n])
 			}
@@ -203,9 +277,9 @@ func (s *State) Restore(nl *netlist.Netlist) error {
 			}
 			nl.ReviveGate(g)
 		}
+		pn := s.pinNets(gs)
 		for i, p := range g.Pins {
-			want := gs.pinNets[i]
-			if p.Net != nil && p.Net.ID != want {
+			if p.Net != nil && p.Net.ID != int(pn[i]) {
 				nl.Disconnect(p)
 			}
 		}
@@ -218,9 +292,9 @@ func (s *State) Restore(nl *netlist.Netlist) error {
 			continue
 		}
 		g := nl.GateByID(id)
+		pn := s.pinNets(gs)
 		for i, p := range g.Pins {
-			want := gs.pinNets[i]
-			if want >= 0 && p.Net == nil {
+			if want := int(pn[i]); want >= 0 && p.Net == nil {
 				n := nl.NetByID(want)
 				if n == nil {
 					return fmt.Errorf("netio: restore: gate %s pin %d needs missing net %d", g.Name, i, want)

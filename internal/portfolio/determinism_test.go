@@ -1,11 +1,14 @@
 package portfolio_test
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
+	"tps/internal/cell"
 	"tps/internal/gen"
+	"tps/internal/netio"
 	"tps/internal/portfolio"
 	"tps/internal/scenario"
 )
@@ -113,38 +116,103 @@ func TestRaceDeterministicUnderReordering(t *testing.T) {
 	}
 }
 
+// ecoScript is a protected ECO on a placed design. Its first timing
+// query comes before any edit, so a race entrant installs its State's
+// shared first timing pass, while a solo run computes its own.
+const ecoScript = `
+scenario eco
+set budget 8
+init {
+  mode m=actual
+  size_speed protect tol=0 margin=60
+  buffer protect tol=0
+  evaluate flow=eco
+}
+`
+
+// placedBase is baseDesign after a quadratic placement and legalization,
+// as an ECO's checkpoint would be.
+func placedBase(t *testing.T, seed int64) *gen.Design {
+	t.Helper()
+	d := baseDesign(t, seed)
+	s, err := scenario.Parse("scenario place\ninit {\n  qplace\n  legalize\n  evaluate\n}\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := scenario.NewContext(d, 1)
+	defer c.Close()
+	c.SetWorkers(1)
+	if _, err := scenario.Run(c, s); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestRaceEntrantMatchesSoloRun: racing does not perturb the entrants.
 // Each verdict's metrics equal a standalone run of the same script and
 // seed on the same base design — the fork isolation contract, end to
-// end.
+// end. The solo runs never fork: on the generated design they run on
+// the design itself; on the placed one, on its .tpn text read back,
+// which a fork equals in full state. The ECO entrants install their
+// State's first timing pass, so they evaluate fewer pins than their solo
+// runs, to the same metrics.
 func TestRaceEntrantMatchesSoloRun(t *testing.T) {
-	base := baseDesign(t, 33)
-	entrants := detEntrants()[:3]
-	res, err := portfolio.Race(context.Background(), base, portfolio.Spec{
-		Entrants: entrants, Workers: 3, NoEarlyStop: true,
-	})
-	if err != nil {
-		t.Fatalf("race: %v", err)
+	eco := []portfolio.Entrant{
+		{Name: "eco1", Script: ecoScript, Seed: 1},
+		{Name: "eco2", Script: ecoScript, Seed: 2, Params: map[string]string{"margin": "80"}},
 	}
-	for i, e := range entrants {
-		s, err := scenario.Parse(raceScript)
+	for _, race := range []struct {
+		name     string
+		base     func() *gen.Design
+		entrants []portfolio.Entrant
+		eco      bool
+	}{
+		{"generated", func() *gen.Design { return baseDesign(t, 33) }, detEntrants()[:3], false},
+		{"placed", func() *gen.Design { return placedBase(t, 33) }, eco, true},
+	} {
+		res, err := portfolio.Race(context.Background(), race.base(), portfolio.Spec{
+			Entrants: race.entrants, Workers: 3, NoEarlyStop: true,
+		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s race: %v", race.name, err)
 		}
-		solo := baseDesign(t, 33)
-		c := scenario.NewContext(solo, e.Seed)
-		c.SetWorkers(1)
-		c.Params = e.Params
-		want, err := scenario.Run(c, s)
-		if err != nil {
+		for i, e := range race.entrants {
+			s, err := scenario.Parse(e.Script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solo := race.base()
+			if race.eco {
+				var b bytes.Buffer
+				if err := netio.Write(&b, solo); err != nil {
+					t.Fatal(err)
+				}
+				if solo, err = netio.Read(&b, cell.Default()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c := scenario.NewContext(solo, e.Seed)
+			c.SetWorkers(1)
+			c.Params = e.Params
+			want, err := scenario.Run(c, s)
+			if err != nil {
+				c.Close()
+				t.Fatalf("solo run %s: %v", e.Name, err)
+			}
+			soloStats := c.AnalyzerStats()
 			c.Close()
-			t.Fatalf("solo run %s: %v", e.Name, err)
-		}
-		c.Close()
-		got := *res.Verdicts[i].Metrics
-		want.CPUSeconds, got.CPUSeconds = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("entrant %s diverged from its solo run\nrace: %+v\nsolo: %+v", e.Name, got, want)
+			v := res.Verdicts[i]
+			got := *v.Metrics
+			want.CPUSeconds, got.CPUSeconds = 0, 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("entrant %s diverged from its solo run\nrace: %+v\nsolo: %+v", e.Name, got, want)
+			}
+			t.Logf("%s/%s: %d accepted, %d rejected; %d pin evaluations, solo %d", race.name, e.Name,
+				v.Accepts, v.Rejects, v.Stats.TimingRecomputes, soloStats.TimingRecomputes)
+			if race.eco && v.Stats.TimingRecomputes >= soloStats.TimingRecomputes {
+				t.Fatalf("entrant %s evaluated %d pins, its solo run %d: the shared first pass was not installed",
+					e.Name, v.Stats.TimingRecomputes, soloStats.TimingRecomputes)
+			}
 		}
 	}
 }

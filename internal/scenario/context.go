@@ -112,6 +112,12 @@ type Context struct {
 	// checks it between steps; transform bodies observe it through
 	// Interrupted at their own safe commit points.
 	runCtx context.Context
+	// ckpt and usage are the checkpoint of the protected step in flight:
+	// the design and the bin usage it is rolled back to on rejection.
+	// Every protected step overwrites them in place (checkpoint).
+	ckpt  *netio.State
+	usage []float64
+
 	// stepDeadline, when non-zero, is the wall-clock bound of the
 	// protected step currently executing (its maxsec budget). Interrupted
 	// trips once it passes, so a stuck transform body that polls the hook
@@ -174,15 +180,37 @@ func NewContext(d *gen.Design, seed int64) *Context {
 }
 
 // ForkContext forks s and builds the analyzer stack over the fork, as
-// NewContext does, with the Steiner cache seeded by the State's shared
-// trees (netio.State.Trees), so a fork rebuilds only the trees its own
-// edits touch. This is exact: the seeded trees are those a fresh cache
-// would build on the fork. It returns the fork too.
+// NewContext does, seeded with what the State computes once for all its
+// forks: the Steiner cache starts from the State's shared trees
+// (netio.State.Trees), so a fork rebuilds only the trees its own edits
+// touch, and the timing engine installs the State's first full timing
+// pass of its delay mode instead of computing it (timing.Engine.Seed),
+// if it asks for that pass before any edit. The State builds that pass
+// on first demand, once per delay mode, with a fresh analyzer stack on a
+// private fork seeded with the same trees, at the asking engine's
+// Workers (firstPass). Both are exact: the seeded trees and the
+// installed pass are those a fresh stack computes on the fork, and the
+// engine installs only while Seed's conditions guarantee it. Only the
+// counters of work not done fall (SteinerRebuilds, TimingRecomputes,
+// the calculator's Solves). It returns the fork too.
 func ForkContext(s *netio.State, seed int64) (*Context, *gen.Design) {
 	gd := s.Fork()
 	c := NewContext(gd, seed)
 	c.St.Seed(s.Trees())
+	c.Eng.Seed(func(m delay.Mode, workers int) *timing.Pass { return firstPass(s, m, workers) })
 	return c, gd
+}
+
+// passKey keys a State's first timing pass (netio.State.Derived) by
+// delay mode.
+type passKey struct{ mode delay.Mode }
+
+// firstPass returns s's shared first timing pass in mode m, computing it
+// on first demand over at most workers goroutines.
+func firstPass(s *netio.State, m delay.Mode, workers int) *timing.Pass {
+	return s.Derived(passKey{m}, func(d *gen.Design) any {
+		return timing.FirstPass(d.NL, d.Period, s.Trees(), m, workers)
+	}).(*timing.Pass)
 }
 
 // SetWorkers sets the analyzer fan-out width and propagates it to the
@@ -220,7 +248,10 @@ type AnalyzerStats struct {
 	// perfbench still reads it.
 	CongestionFullPasses        int
 	CongestionIncrementalPasses int
-	// TimingRecomputes counts incremental timing node recomputations.
+	// TimingRecomputes counts incremental timing node recomputations. A
+	// run forked through ForkContext that installs its State's first
+	// timing pass skips that pass's recomputations, so it counts fewer
+	// than a NewContext run of the same flow on the same design.
 	TimingRecomputes int
 	// FM carries the placement partitioner's gain-structure traffic:
 	// pushes/pops through the bucket queue, stale pops discarded, neighbor

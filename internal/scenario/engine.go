@@ -215,8 +215,7 @@ func (c *Context) execStep(b *Block, st *Step) error {
 	// maxsec budget is armed as a deadline BEFORE the body runs, so a
 	// transform that polls Interrupted is cut off mid-loop instead of
 	// being judged only after it finally returns.
-	snap := netio.Capture(c.NL)
-	usage := c.Im.SnapshotUsage()
+	c.checkpoint()
 	objBefore := c.objective()
 	if st.MaxSec > 0 {
 		c.stepDeadline = time.Now().Add(time.Duration(st.MaxSec * float64(time.Second)))
@@ -255,11 +254,11 @@ func (c *Context) execStep(b *Block, st *Step) error {
 		return nil
 	}
 
-	if rerr := snap.Restore(c.NL); rerr != nil {
+	if rerr := c.ckpt.Restore(c.NL); rerr != nil {
 		// A failed rollback leaves the design undefined; that is fatal.
 		return fmt.Errorf("scenario: step %s: rollback failed: %v (step outcome: %s)", st.Name, rerr, reason)
 	}
-	c.Im.RestoreUsage(usage)
+	c.Im.RestoreUsage(c.usage)
 	ev := Event{Type: EvReject, Block: b.Label, Step: st.Name, Status: c.Status,
 		Reason: reason, DurMs: dur.Seconds() * 1000,
 		ObjBefore: fptr(objBefore)}
@@ -279,6 +278,19 @@ func (c *Context) execStep(b *Block, st *Step) error {
 	c.emit(ev)
 	c.Logf("step %s at status %d rejected (%s)", st.Name, c.Status, reason)
 	return nil
+}
+
+// checkpoint captures the design into the context's one checkpoint
+// State and bin-usage copy, overwriting the previous protected step's
+// in place (netio.State.Recapture): only the context's first capture,
+// or one after the design outgrew the last, allocates.
+func (c *Context) checkpoint() {
+	if c.ckpt == nil {
+		c.ckpt = netio.Capture(c.NL)
+	} else {
+		c.ckpt.Recapture(c.NL)
+	}
+	c.usage = c.Im.SnapshotUsage(c.usage)
 }
 
 // DefaultObjective is the objective judged when none is named.

@@ -11,12 +11,15 @@ import (
 // netio.State (an inline netlist gets an unshared one). Every job on it
 // runs on private forks of that State (a race or search forks once per
 // entrant), so warm re-runs skip the .tpn parse and no run can leave
-// anything behind for the next. The one part of the State written after
-// upload is its forks' Steiner trees: the first job to fork builds them,
-// and every later fork seeds its Steiner cache with them read-only
-// (netio.State.Trees), so an upload does no tree work. Jobs on one
-// design still hold mu for their whole run: letting them overlap would
-// multiply the design's live copies in memory.
+// anything behind for the next. The only parts of the State written
+// after upload are what it derives once for all its forks: the first
+// job to fork builds the Steiner trees, and the first fork to query
+// timing in a delay mode before any edit builds that mode's first
+// timing pass; every later fork seeds its Steiner cache with the trees
+// and installs the pass, read-only (scenario.ForkContext). An upload
+// does neither. Jobs on one design still hold mu for their whole run:
+// letting them overlap would multiply the design's live copies in
+// memory.
 type storedDesign struct {
 	mu   sync.Mutex
 	base *netio.State

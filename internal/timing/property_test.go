@@ -107,12 +107,12 @@ func TestFlushPropertyInterleavedEdits(t *testing.T) {
 }
 
 // checkMatchesFresh is the ground truth of the flush property tests: a
-// fresh stack over the identical netlist state must agree with eng,
-// within eps, on every live pin's arrival and required time, on the worst
-// slack and on TNS.
+// fresh stack in eng's delay mode over the identical netlist state must
+// agree with eng, within eps, on every live pin's arrival and required
+// time, on the worst slack and on TNS.
 func checkMatchesFresh(t *testing.T, nl *netlist.Netlist, period float64, eng *Engine, at string) {
 	t.Helper()
-	fresh, closeFresh := engineStack(nl, period, 1, delay.Actual)
+	fresh, closeFresh := engineStack(nl, period, 1, eng.Calc.Mode)
 	defer closeFresh()
 	bad := 0
 	nl.Gates(func(g *netlist.Gate) {

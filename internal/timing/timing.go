@@ -22,11 +22,16 @@ import (
 	"tps/internal/delay"
 	"tps/internal/netlist"
 	"tps/internal/par"
+	"tps/internal/steiner"
 )
 
 const eps = 1e-6
 
-// Engine is the incremental STA engine.
+// Engine is the incremental STA engine. An engine on a fork of a
+// netio.State may take its first full pass ready-made (Seed): the State
+// computes that pass once per delay mode (FirstPass), and every fork that
+// asks for it before any edit installs a copy instead of levelizing,
+// solving and propagating again.
 type Engine struct {
 	nl   *netlist.Netlist
 	Calc *delay.Calculator
@@ -86,8 +91,14 @@ type Engine struct {
 	relaxQueue   []int   // BFS workspace for incremental level repair
 	adj          []int   // neighbour IDs from appendPred/appendSucc
 
+	// seed supplies the shared first pass (Seed); heard records that an
+	// observer callback has fired since New, after which the netlist may
+	// no longer be the one a shared pass describes.
+	seed  func(m delay.Mode, workers int) *Pass
+	heard bool
+
 	// Recomputes counts pin evaluations since construction; tests use it
-	// to demonstrate incrementality.
+	// to demonstrate incrementality. An installed pass is not evaluation.
 	Recomputes int
 	// HasCycles reports that levelization found a combinational cycle;
 	// pins on cycles are frozen at arrival 0 rather than looping.
@@ -419,6 +430,9 @@ func (e *Engine) reqOf(p *netlist.Pin) float64 {
 // ---- dirty management & flushing ----
 
 func (e *Engine) ensure() {
+	if e.level == nil && e.install() {
+		return
+	}
 	// Net-kind changes (ClassifyKinds, SetNetKind) redraw the data graph's
 	// edge set without any per-net event granularity, so they force a full
 	// relevel via the kind epoch. Ordinary connectivity edits are repaired
@@ -969,6 +983,7 @@ func (e *Engine) Endpoints() []*netlist.Pin {
 
 // GateMoved implements netlist.Observer.
 func (e *Engine) GateMoved(g *netlist.Gate) {
+	e.heard = true
 	if e.level == nil || e.allDirty {
 		return // first Flush computes everything anyway
 	}
@@ -981,6 +996,7 @@ func (e *Engine) GateMoved(g *netlist.Gate) {
 
 // GateResized implements netlist.Observer.
 func (e *Engine) GateResized(g *netlist.Gate) {
+	e.heard = true
 	if e.level == nil {
 		return
 	}
@@ -1028,6 +1044,7 @@ func (e *Engine) GateResized(g *netlist.Gate) {
 // NetChanged implements netlist.Observer. Connectivity changes repair the
 // levelization in place (relaxNet) and mark the edit site dirty.
 func (e *Engine) NetChanged(n *netlist.Net) {
+	e.heard = true
 	if e.level == nil {
 		return
 	}
@@ -1048,6 +1065,7 @@ func (e *Engine) NetChanged(n *netlist.Net) {
 // a revived pin keeps its stale values exactly as a full relevel would,
 // and the reconnecting edits mark it through touchNet.
 func (e *Engine) GateAdded(g *netlist.Gate) {
+	e.heard = true
 	if e.level == nil || !e.levelsValid {
 		return // the next relevel registers (and marks) the pins
 	}
@@ -1089,6 +1107,7 @@ func (e *Engine) GateAdded(g *netlist.Gate) {
 // is tombstoning: nil the pinOf slots so flushes skip them, and drop the
 // gate's pins from the end-point list in place, preserving ID order.
 func (e *Engine) GateRemoved(g *netlist.Gate) {
+	e.heard = true
 	if e.level == nil || !e.levelsValid {
 		return // the next relevel rebuilds pinOf and the lists anyway
 	}
@@ -1106,6 +1125,106 @@ func (e *Engine) GateRemoved(g *netlist.Gate) {
 	if hadEnd {
 		e.endpoints = dropGatePins(e.endpoints, g)
 	}
+}
+
+// ---- shared first pass ----
+
+// Pass is an engine's first full timing pass, frozen: per pin the
+// arrival and required times, level, flags, cached Late product and
+// output pin; the end points by pin ID; and the delay calculator's net
+// solutions. It also records what the pass was computed under — delay
+// mode, period, setup, BinDim, wire-load model — and the netlist's edit
+// and kind epochs. Nothing writes it after FirstPass, so any number of
+// engines install it at once.
+type Pass struct {
+	mode                  delay.Mode
+	period, setup, binDim float64
+	wlm                   delay.WireLoadModel
+	edits, kindEpoch      uint64
+
+	arr, req, late []float64
+	level, outPin  []int32
+	flags          []pinFlag
+	endpoints      []int32
+	hasCycles      bool
+	solves         *delay.Solutions
+}
+
+// FirstPass runs the first full timing pass of a fresh analyzer stack on
+// nl — a Steiner cache seeded with trees (indexed by net ID, as
+// steiner.Cache.Seed takes them), a calculator in mode m, an engine with
+// the given period and the default setup — over at most workers
+// goroutines, and returns it frozen. The stack is closed afterwards.
+func FirstPass(nl *netlist.Netlist, period float64, trees []*steiner.Tree, m delay.Mode, workers int) *Pass {
+	st := steiner.NewCache(nl)
+	st.Seed(trees)
+	calc := delay.NewCalculator(nl, st, m)
+	e := New(nl, calc, period)
+	e.Workers = workers
+	e.Flush()
+	e.Close()
+	calc.Close()
+	st.Close()
+	p := &Pass{
+		mode: m, period: period, setup: e.Setup, binDim: calc.BinDim, wlm: *calc.WLM,
+		edits: nl.Edits, kindEpoch: nl.KindEpoch,
+		arr: e.arr, req: e.req, late: e.late, level: e.level, outPin: e.outPin, flags: e.flags,
+		endpoints: make([]int32, len(e.endpoints)), hasCycles: e.HasCycles, solves: calc.Share(),
+	}
+	for i, q := range e.endpoints {
+		p.endpoints[i] = int32(q.ID)
+	}
+	return p
+}
+
+// Seed lets the engine install its first full pass instead of computing
+// it: at that pass it asks src for the pass of its current delay mode
+// (passing its Workers, the width to compute it at) and installs it, if
+// and only if it is exactly what the engine would compute. That holds
+// when the engine has never flushed, no observer callback has fired
+// since New, the netlist's Edits and KindEpoch are the pass's, and
+// Period, Setup and the calculator's mode, BinDim and wire-load model
+// are what the pass was computed under. src must return a pass computed
+// on a netlist laid out pin for pin like this one: for a fork of a
+// netio.State, a FirstPass on another fork of it (scenario.ForkContext).
+func (e *Engine) Seed(src func(m delay.Mode, workers int) *Pass) { e.seed = src }
+
+// install makes a seeded engine's first full pass the shared one when
+// Seed's conditions hold, and reports whether it did. It copies the
+// per-pin arrays into the engine's own, rebuilds pinOf and the end-point
+// list from the netlist's pins by ID, and installs the net solutions
+// copy-on-write. Recomputes and the calculator's Solves do not count it.
+func (e *Engine) install() bool {
+	if e.seed == nil || e.heard {
+		return false
+	}
+	p := e.seed(e.Calc.Mode, e.Workers)
+	np := e.nl.NumPins()
+	if p.mode != e.Calc.Mode || p.period != e.Period || p.setup != e.Setup ||
+		p.binDim != e.Calc.BinDim || p.wlm != *e.Calc.WLM ||
+		p.edits != e.nl.Edits || p.kindEpoch != e.nl.KindEpoch || len(p.arr) != np {
+		return false
+	}
+	e.growPinArrays(np)
+	copy(e.arr, p.arr)
+	copy(e.req, p.req)
+	copy(e.late, p.late)
+	copy(e.level, p.level)
+	copy(e.outPin, p.outPin)
+	copy(e.flags, p.flags)
+	e.nl.Gates(func(g *netlist.Gate) {
+		for _, q := range g.Pins {
+			e.pinOf[q.ID] = q
+		}
+	})
+	e.endpoints = e.endpoints[:0]
+	for _, id := range p.endpoints {
+		e.endpoints = append(e.endpoints, e.pinOf[id])
+	}
+	e.HasCycles = p.hasCycles
+	e.levelsValid, e.kindEpoch, e.allDirty = true, e.nl.KindEpoch, false
+	e.Calc.Install(p.solves)
+	return true
 }
 
 // ---- small helpers ----
